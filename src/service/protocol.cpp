@@ -124,6 +124,7 @@ JsonValue to_json(const SolveResponse& resp) {
     v["batch_size"] = resp.batch_size;
     if (!resp.fingerprint.empty()) v["fingerprint"] = resp.fingerprint;
     if (resp.warm_start) v["warm_start"] = true;
+    v["load_us"] = resp.load_us;
     v["setup_us"] = resp.setup_us;
     v["solve_us"] = resp.solve_us;
   }

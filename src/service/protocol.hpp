@@ -6,7 +6,7 @@
 // the build configuration (method/filter/strategy/ranks) and the solve
 // configuration (solver/tol/max_iterations/rhs). Responses carry the
 // solver outcome plus the serving metadata the acceptance checks key on:
-// cache hit/miss, batch size, and the queue/setup/solve latency split.
+// cache hit/miss, batch size, and the queue/load/setup/solve latency split.
 //
 // Request schema (defaults in parentheses):
 //   {"id": "r1",                      required, echoed in the response
@@ -34,7 +34,7 @@
 //    "converged", "iterations", "initial_residual", "final_residual",
 //    "cache": "hit"|"disk"|"miss", "batch_size", "fingerprint",
 //    "warm_start": true,              present when a cached solution seeded x0
-//    "queue_us", "setup_us", "solve_us", "total_us",
+//    "queue_us", "load_us", "setup_us", "solve_us", "total_us",
 //    "residuals": [...]}              when history was requested
 #pragma once
 
@@ -98,7 +98,12 @@ struct SolveResponse {
   std::string fingerprint;  ///< hex content hash of the partitioned system
   bool warm_start = false;  ///< x0 was seeded from a cached solution
   double queue_us = 0.0;    ///< submission -> dequeue
-  double setup_us = 0.0;    ///< factor acquisition (build or cache fetch)
+  /// Operator load: read or generate, partition and distribute A (about 0
+  /// when the batch leased a pooled operator). queue + load + setup + solve
+  /// accounts for a solo request's total.
+  double load_us = 0.0;
+  double setup_us = 0.0;    ///< fingerprint + factor acquisition (build or
+                            ///< cache fetch) + preconditioner distribution
   double solve_us = 0.0;
   double total_us = 0.0;
   std::vector<double> residuals;  ///< per-iteration history when requested

@@ -92,6 +92,20 @@ std::string rid_args(std::int64_t rid) {
 
 }  // namespace
 
+struct SolveService::OperatorState {
+  std::unique_ptr<DistCsr> a;
+  /// Layout and permutation; `matrix` holds the assembled partitioned
+  /// operator only while a batch needs it (fingerprint or build) and is
+  /// dropped before the state is pooled.
+  PartitionedSystem sys;
+  std::string fingerprint_hex;  ///< empty until the first fingerprint
+  FactorCache::Key key;
+  /// The cached factor `precond` was distributed from; a batch reuses
+  /// `precond` only if the cache still returns this very object.
+  std::shared_ptr<const CachedFactor> factor;
+  std::unique_ptr<FactorizedPreconditioner> precond;
+};
+
 void ServiceStats::merge(const ServiceStats& other) {
   submitted += other.submitted;
   admitted += other.admitted;
@@ -103,6 +117,8 @@ void ServiceStats::merge(const ServiceStats& other) {
   batches += other.batches;
   max_batch_size = std::max(max_batch_size, other.max_batch_size);
   warm_starts += other.warm_starts;
+  operator_reuses += other.operator_reuses;
+  rejected_parse += other.rejected_parse;
   cache.hits += other.cache.hits;
   cache.misses += other.cache.misses;
   cache.insertions += other.cache.insertions;
@@ -126,6 +142,8 @@ JsonValue serve_stats_to_json(const ServiceStats& stats) {
   v["batches"] = stats.batches;
   v["max_batch_size"] = stats.max_batch_size;
   v["warm_starts"] = stats.warm_starts;
+  v["operator_reuses"] = stats.operator_reuses;
+  v["rejected_parse"] = stats.rejected_parse;
   JsonValue cache = JsonValue::object();
   cache["hits"] = stats.cache.hits;
   cache["misses"] = stats.cache.misses;
@@ -306,6 +324,60 @@ bool SolveService::submit(SolveRequest request) {
   return true;
 }
 
+std::unique_ptr<SolveService::OperatorState> SolveService::load_operator(
+    const SolveRequest& lead, Executor* exec) {
+  auto op = std::make_unique<OperatorState>();
+  PartitionedSystem& sys = op->sys;
+  // Workload-spec operators ("stencil3d:nx=64,...") generate rank-locally:
+  // no global CsrMatrix exists on this path, each simulated rank
+  // materializes only its own rows (suite names and files keep the
+  // assembled path and its graph partitioning).
+  if (lead.matrix_path.empty() && wgen::is_workload_spec(lead.generate)) {
+    const auto w = wgen::resolve_workload(
+        wgen::parse_workload_spec(lead.generate), lead.ranks);
+    op->a = std::make_unique<DistCsr>(wgen::generate_dist(
+        w, lead.ranks, CommConfig::from_env(), nullptr, exec));
+    sys.layout = op->a->row_layout();
+    // Generated operators are born in blocked order: identity permutation.
+    sys.perm.resize(static_cast<std::size_t>(sys.layout.global_size()));
+    std::iota(sys.perm.begin(), sys.perm.end(), index_t{0});
+    return op;
+  }
+  const CsrMatrix a = lead.matrix_path.empty()
+                          ? suite_entry(lead.generate).generate()
+                          : read_matrix_market_file(lead.matrix_path);
+  FSAIC_REQUIRE(a.rows() == a.cols(), "matrix must be square");
+  FSAIC_REQUIRE(a.is_symmetric(1e-10 * a.max_abs()),
+                "matrix must be symmetric (CG requires SPD)");
+  sys = partition_system(a, lead.ranks);
+  op->a = std::make_unique<DistCsr>(DistCsr::distribute(sys.matrix, sys.layout));
+  return op;
+}
+
+std::unique_ptr<SolveService::OperatorState> SolveService::lease_operator(
+    const std::string& batch_key) {
+  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  const auto it = std::find_if(pool_.begin(), pool_.end(), [&](const auto& e) {
+    return e.first == batch_key;
+  });
+  if (it == pool_.end()) return nullptr;
+  std::unique_ptr<OperatorState> state = std::move(it->second);
+  pool_.erase(it);
+  return state;
+}
+
+void SolveService::return_operator(const std::string& batch_key,
+                                   std::unique_ptr<OperatorState> state) {
+  state->sys.matrix = CsrMatrix{};
+  std::unique_ptr<OperatorState> evicted;  // destroyed after the unlock
+  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  pool_.emplace_front(batch_key, std::move(state));
+  if (pool_.size() > options_.cache_capacity) {
+    evicted = std::move(pool_.back().second);
+    pool_.pop_back();
+  }
+}
+
 void SolveService::worker_loop(std::size_t shard) {
   // Each worker owns its executor so concurrent solves never share one; the
   // solve results do not depend on this choice.
@@ -424,74 +496,60 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     }
   };
 
-  // Shared batch setup: load + partition the operator, then acquire the
-  // factor — from the RAM tier when resident, reloaded from the disk store
-  // on a RAM miss, freshly built otherwise. Everything downstream (halo
-  // scheme, distributed G / G^T, the preconditioner) is shared by the whole
-  // batch, and the factor bits are identical on all three paths, so the
-  // residual histories are too.
+  // Shared batch setup. Load: lease the operator's solve-ready state from
+  // the pool, or load + partition + distribute it. Setup: acquire the factor
+  // — from the RAM tier when resident, reloaded from the disk store on a RAM
+  // miss, freshly built otherwise — and the preconditioner, which a leased
+  // state already holds when the RAM tier returns the factor it was built
+  // from. Everything downstream is shared by the whole batch, and the factor
+  // bits are identical on every path, so the residual histories are too.
   const SolveRequest& lead = live.front().request;
-  CsrMatrix a;
+  const std::string& batch_key = live.front().batch_key;
+  // Only generated operators are pooled: they are a pure function of the
+  // request, whereas a matrix file may change between requests.
+  const bool poolable = lead.matrix_path.empty();
+  std::unique_ptr<OperatorState> op;
   CacheTier tier = CacheTier::Miss;
-  std::string fingerprint_hex;
+  bool reused = false;
+  double load_us = 0.0;
   double setup_us = 0.0;
-  std::unique_ptr<FactorizedPreconditioner> precond;
-  std::unique_ptr<DistCsr> a_dist;
-  PartitionedSystem sys;
-  index_t global_rows = 0;
-  // Workload-spec operators ("stencil3d:nx=64,...") generate rank-locally:
-  // no global CsrMatrix exists on this path, each simulated rank
-  // materializes only its own rows (suite names and files keep the
-  // assembled path and its graph partitioning).
-  const bool rank_local_gen =
-      lead.matrix_path.empty() && wgen::is_workload_spec(lead.generate);
   try {
-    if (rank_local_gen) {
-      const auto w = wgen::resolve_workload(
-          wgen::parse_workload_spec(lead.generate), lead.ranks);
-      a_dist = std::make_unique<DistCsr>(wgen::generate_dist(
-          w, lead.ranks, CommConfig::from_env(), nullptr, exec));
-      sys.layout = a_dist->row_layout();
-      // Generated operators are born in blocked order: identity permutation.
-      sys.perm.resize(static_cast<std::size_t>(sys.layout.global_size()));
-      std::iota(sys.perm.begin(), sys.perm.end(), index_t{0});
-    } else {
-      a = lead.matrix_path.empty() ? suite_entry(lead.generate).generate()
-                                   : read_matrix_market_file(lead.matrix_path);
-      FSAIC_REQUIRE(a.rows() == a.cols(), "matrix must be square");
-      FSAIC_REQUIRE(a.is_symmetric(1e-10 * a.max_abs()),
-                    "matrix must be symmetric (CG requires SPD)");
-      sys = partition_system(a, lead.ranks);
-      a_dist = std::make_unique<DistCsr>(DistCsr::distribute(sys.matrix, sys.layout));
-    }
-    global_rows = sys.layout.global_size();
-
+    const auto t_load = std::chrono::steady_clock::now();
+    if (poolable) op = lease_operator(batch_key);
+    if (op == nullptr) op = load_operator(lead, exec);
     const auto t_setup = std::chrono::steady_clock::now();
-    // The streamed rank-local fingerprint equals fingerprint_of() of the
-    // assembled operator, so generated operators share the FactorCache and
-    // disk store keying with file/suite operators unchanged.
-    const MatrixFingerprint fp = rank_local_gen
-                                     ? fingerprint_rank_local(*a_dist)
-                                     : fingerprint_of(sys.matrix);
-    fingerprint_hex = hash_hex(fp.content_hash);
-    const FactorCache::Key key{
-        fp, lead.method + "|" +
-                strformat("%.17g", static_cast<double>(lead.filter)) + "|" +
-                lead.filter_strategy + "|" + std::to_string(lead.ranks)};
-    std::shared_ptr<const CachedFactor> factor = cache_.get(key, &tier);
+    load_us = us_between(t_load, t_setup);
+
+    if (op->fingerprint_hex.empty()) {
+      // The streamed rank-local fingerprint equals fingerprint_of() of the
+      // assembled operator, so generated operators share the FactorCache
+      // and disk store keying with file/suite operators unchanged.
+      const MatrixFingerprint fp = op->sys.matrix.rows() == 0
+                                       ? fingerprint_rank_local(*op->a)
+                                       : fingerprint_of(op->sys.matrix);
+      op->fingerprint_hex = hash_hex(fp.content_hash);
+      op->key = FactorCache::Key{
+          fp, lead.method + "|" +
+                  strformat("%.17g", static_cast<double>(lead.filter)) + "|" +
+                  lead.filter_strategy + "|" + std::to_string(lead.ranks)};
+    }
+    std::shared_ptr<const CachedFactor> factor = cache_.get(op->key, &tier);
     if (options_.metrics != nullptr) {
       options_.metrics->add(tier == CacheTier::Ram    ? "service.cache_hits"
                             : tier == CacheTier::Disk ? "service.cache_disk_hits"
                                                       : "service.cache_misses",
                             1);
     }
-    if (factor != nullptr) {
+    reused = tier == CacheTier::Ram && op->precond != nullptr &&
+             factor == op->factor;
+    if (!reused && factor != nullptr) {
       const DistCsr g_dist = DistCsr::distribute(factor->g, factor->layout);
       const DistCsr gt_dist =
           DistCsr::distribute(transpose(factor->g), factor->layout);
-      precond = std::make_unique<FactorizedPreconditioner>(
+      op->precond = std::make_unique<FactorizedPreconditioner>(
           g_dist, gt_dist, lead.method + "(cached)");
-    } else {
+      op->factor = std::move(factor);
+    } else if (!reused) {
       FsaiOptions opts;
       opts.extension = extension_of(lead.method);
       opts.filter = lead.method == "fsai" ? value_t{0} : lead.filter;
@@ -500,20 +558,22 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
                                  : FilterStrategy::Dynamic;
       opts.exec = exec;
       opts.trace = trace;
-      if (rank_local_gen) {
-        // The FSAI setup is the one stage still built from assembled rows.
+      if (op->sys.matrix.rows() == 0) {
+        // The FSAI setup is the one stage still built from assembled rows
+        // (generated and pooled operators keep only the distributed copy).
         // A factor-cache hit (RAM or disk) skips this branch entirely, so
         // repeat traffic against a generated operator stays global-free.
-        sys.matrix = a_dist->to_global();
+        op->sys.matrix = op->a->to_global();
       }
       FsaiBuildResult build =
-          build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+          build_fsai_preconditioner(op->sys.matrix, op->sys.layout, opts);
       const double build_seconds =
           us_between(t_setup, std::chrono::steady_clock::now()) * 1e-6;
-      precond = std::make_unique<FactorizedPreconditioner>(
+      op->precond = std::make_unique<FactorizedPreconditioner>(
           build.g_dist, build.gt_dist, lead.method);
-      cache_.put(key, std::make_shared<CachedFactor>(CachedFactor{
-                          std::move(build.g), sys.layout, build_seconds}));
+      op->factor = std::make_shared<CachedFactor>(CachedFactor{
+          std::move(build.g), op->sys.layout, build_seconds});
+      cache_.put(op->key, op->factor);
     }
     setup_us = us_between(t_setup, std::chrono::steady_clock::now());
     if (trace != nullptr) {
@@ -524,7 +584,7 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     if (log != nullptr && log->enabled(LogLevel::Info)) {
       JsonValue f = rid_fields(live.front().rid, lead.id);
       f["cache"] = tier_string(tier);
-      f["fingerprint"] = fingerprint_hex;
+      f["fingerprint"] = op->fingerprint_hex;
       f["setup_us"] = setup_us;
       f["batch_size"] = static_cast<std::int64_t>(live.size());
       log->info("service.setup", f);
@@ -533,6 +593,18 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     fail_batch(e.what());
     return;
   }
+  if (reused) {
+    {
+      const std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.operator_reuses;
+    }
+    if (options_.metrics != nullptr) {
+      options_.metrics->add("service.operator_reuses", 1);
+    }
+  }
+  const PartitionedSystem& sys = op->sys;
+  const index_t global_rows = sys.layout.global_size();
+  bool all_ok = true;
 
   // Solve the batch's right-hand sides back-to-back against the shared
   // operator and factor. Each request still gets its own residual history,
@@ -545,7 +617,8 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     r.queue_us = us_between(p.submitted_at, t_dequeue);
     r.cache = tier_string(tier);
     r.batch_size = static_cast<int>(live.size());
-    r.fingerprint = fingerprint_hex;
+    r.fingerprint = op->fingerprint_hex;
+    r.load_us = load_us;
     r.setup_us = setup_us;
     try {
       std::vector<value_t> b_global;
@@ -594,8 +667,8 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
       const auto t_solve = std::chrono::steady_clock::now();
       const SolveResult result =
           req.solver == "pipelined-cg"
-              ? pcg_solve_pipelined(*a_dist, b, x, *precond, solve_opts)
-              : pcg_solve(*a_dist, b, x, *precond, solve_opts);
+              ? pcg_solve_pipelined(*op->a, b, x, *op->precond, solve_opts)
+              : pcg_solve(*op->a, b, x, *op->precond, solve_opts);
       const auto t_done = std::chrono::steady_clock::now();
       if (!solution_key.empty() && result.converged) {
         // Remember the solution in global (pre-partition) numbering; the
@@ -636,6 +709,7 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
         options_.metrics->add("service.completed", 1);
         if (warm) options_.metrics->add("service.warm_starts", 1);
         options_.metrics->observe("service.queue_us", r.queue_us);
+        options_.metrics->observe("service.load_us", r.load_us);
         options_.metrics->observe("service.setup_us", r.setup_us);
         options_.metrics->observe("service.solve_us", r.solve_us);
       }
@@ -653,12 +727,14 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
         f["cache"] = r.cache;
         if (warm) f["warm_start"] = true;
         f["queue_us"] = r.queue_us;
+        f["load_us"] = r.load_us;
         f["setup_us"] = r.setup_us;
         f["solve_us"] = r.solve_us;
         f["total_us"] = r.total_us;
         log->info("service.solve", f);
       }
     } catch (const std::exception& e) {
+      all_ok = false;
       r.status = "error";
       r.reason = e.what();
       r.total_us =
@@ -678,6 +754,13 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     }
     deliver(r);
     finish_one();
+  }
+  // Pool the state only after a batch served from a RAM hit: the operator
+  // is then known to repeat, so a stream of new operators retains nothing.
+  // A batch whose solve threw may have left its halo mailboxes mid-exchange
+  // and is not pooled.
+  if (poolable && tier == CacheTier::Ram && all_ok) {
+    return_operator(batch_key, std::move(op));
   }
 }
 
@@ -713,6 +796,7 @@ ServiceStats serve_requests(const ServiceOptions& options, std::istream& in,
                             std::ostream& out) {
   std::mutex out_mutex;
   ServiceStats stats;
+  std::int64_t rejected_parse = 0;
   {
     SolveService service(options, [&](const SolveResponse& r) {
       const std::lock_guard<std::mutex> lock(out_mutex);
@@ -740,6 +824,10 @@ ServiceStats serve_requests(const ServiceOptions& options, std::istream& in,
         if (r.id.empty()) r.id = "line" + std::to_string(lineno);
         r.status = "error";
         r.reason = e.what();
+        ++rejected_parse;
+        if (options.metrics != nullptr) {
+          options.metrics->add("service.rejected_parse", 1);
+        }
         const std::lock_guard<std::mutex> lock(out_mutex);
         out << to_json(r).dump() << '\n';
         out.flush();
@@ -748,6 +836,7 @@ ServiceStats serve_requests(const ServiceOptions& options, std::istream& in,
     service.drain();
     stats = service.stats();
   }
+  stats.rejected_parse = rejected_parse;
   return stats;
 }
 

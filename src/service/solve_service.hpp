@@ -26,6 +26,12 @@
 // optional fingerprint-addressed disk store, see factor_cache.hpp);
 // repeated solves against the same operator skip setup entirely, and a
 // restarted service warm-starts from the store (`fsaic serve --store`).
+// Generated operators ("generate" requests) go one step further: after a
+// batch served from a RAM hit, the worker returns its solve-ready state
+// (distributed operator, layout, cache key, preconditioner) to a small pool,
+// and the next batch with the same key leases it exclusively instead of
+// regenerating, re-fingerprinting and redistributing (docs/service.md,
+// "Operator reuse").
 // Requests that opt in ("warm_start": true) additionally reuse the cached
 // solution of a recent same-operator/same-RHS request as the CG initial
 // guess, converging against the original cold solve's residual target.
@@ -109,6 +115,12 @@ struct ServiceStats {
   std::int64_t batches = 0;
   std::int64_t max_batch_size = 0;
   std::int64_t warm_starts = 0;  ///< solves seeded from the solution cache
+  /// Batches that solved with a leased, already-distributed operator and
+  /// preconditioner (no load, fingerprint or factor distribution).
+  std::int64_t operator_reuses = 0;
+  /// Request lines rejected by the JSONL parser (never submitted, so not in
+  /// `submitted`); counted by serve_requests.
+  std::int64_t rejected_parse = 0;
   FactorCacheStats cache;
 
   /// Fold another block in (counters add, max_batch_size maxes) — how watch
@@ -171,6 +183,10 @@ class SolveService {
     static std::int64_t seq(const Pending& p) { return p.rid; }
   };
 
+  /// Solve-ready state of one operator: what a batch builds before its
+  /// first solve. Pooled per batch key for reuse (see lease_operator).
+  struct OperatorState;
+
   /// A remembered solution: the warm-start seed of a repeat request.
   struct CachedSolution {
     std::vector<value_t> x;  ///< global solution vector (pre-partition order)
@@ -178,6 +194,21 @@ class SolveService {
     /// convergence target is anchored to (SolveOptions::reference_residual).
     double reference_residual = 0.0;
   };
+
+  /// Load (read or generate), partition and distribute the lead request's
+  /// operator.
+  [[nodiscard]] static std::unique_ptr<OperatorState> load_operator(
+      const SolveRequest& lead, Executor* exec);
+  /// Take a pooled state of `batch_key` out of the pool (null if none):
+  /// copies of a DistCsr share one set of halo mailboxes, so a state is
+  /// only ever used by one batch at a time.
+  [[nodiscard]] std::unique_ptr<OperatorState> lease_operator(
+      const std::string& batch_key);
+  /// Put a state (back) into the pool as most recently used; the least
+  /// recently used entry goes when the pool exceeds cache_capacity. A key
+  /// solved by several workers at once may hold several states.
+  void return_operator(const std::string& batch_key,
+                       std::unique_ptr<OperatorState> state);
 
   void worker_loop(std::size_t shard);
   void process_batch(std::vector<Pending> batch, Executor* exec);
@@ -207,6 +238,10 @@ class SolveService {
   mutable std::mutex predict_mutex_;
   std::map<std::string, double> service_time_ewma_us_;
 
+  std::mutex pool_mutex_;
+  /// Leased-operator pool, most recently returned first.
+  std::list<std::pair<std::string, std::unique_ptr<OperatorState>>> pool_;
+
   std::mutex solution_mutex_;
   std::list<std::string> solution_lru_;
   std::map<std::string,
@@ -226,9 +261,9 @@ class SolveService {
 };
 
 /// Run a JSONL request stream end to end: parse every line of `in`, submit
-/// it (malformed lines get an "error" response with the parse message),
-/// drain, and write one JSONL response per request to `out` in completion
-/// order. Returns the final stats.
+/// it (malformed lines get an "error" response with the parse message and
+/// count into `rejected_parse`), drain, and write one JSONL response per
+/// request to `out` in completion order. Returns the final stats.
 ServiceStats serve_requests(const ServiceOptions& options, std::istream& in,
                             std::ostream& out);
 

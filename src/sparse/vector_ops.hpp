@@ -71,13 +71,14 @@ inline void fused_axpy_pair(value_t alpha, std::span<const value_t> d,
   }
 }
 
-/// Euclidean inner product.
+/// Euclidean inner product, summed in index order. Deliberately serial: an
+/// OpenMP reduction would make the summation order (and so the bits) depend
+/// on the team size, and every residual history is built from these dots.
 [[nodiscard]] inline value_t dot(std::span<const value_t> x,
                                  std::span<const value_t> y) {
   FSAIC_REQUIRE(x.size() == y.size(), "dot size mismatch");
   value_t sum = 0.0;
   const std::size_t n = x.size();
-#pragma omp parallel for schedule(static) reduction(+ : sum)
   for (std::size_t i = 0; i < n; ++i) {
     sum += x[i] * y[i];
   }

@@ -398,6 +398,7 @@ TEST_F(ServiceTest, MetricsAreWired) {
   EXPECT_EQ(metrics.counter("service.cache_hits"), 1);
   EXPECT_EQ(metrics.histogram("service.solve_us").count, 2);
   EXPECT_EQ(metrics.histogram("service.queue_us").count, 2);
+  EXPECT_EQ(metrics.histogram("service.load_us").count, 2);
   EXPECT_GT(metrics.histogram("service.setup_us").quantile(0.5), 0.0);
 }
 
@@ -734,6 +735,8 @@ TEST(ServeStatsTest, MergeAddsCountersAndMaxesBatchSize) {
   b.rejected_deadline = 1;
   b.rejected_predicted = 2;
   b.warm_starts = 1;
+  b.operator_reuses = 4;
+  b.rejected_parse = 2;
   b.batches = 1;
   b.max_batch_size = 3;
   b.cache.hits = 2;
@@ -749,6 +752,8 @@ TEST(ServeStatsTest, MergeAddsCountersAndMaxesBatchSize) {
   EXPECT_EQ(a.rejected_deadline, 1);
   EXPECT_EQ(a.rejected_predicted, 2);
   EXPECT_EQ(a.warm_starts, 1);
+  EXPECT_EQ(a.operator_reuses, 4);
+  EXPECT_EQ(a.rejected_parse, 2);
   EXPECT_EQ(a.batches, 3);
   EXPECT_EQ(a.max_batch_size, 3);
   EXPECT_EQ(a.cache.hits, 3);
@@ -764,6 +769,8 @@ TEST(ServeStatsTest, MergeAddsCountersAndMaxesBatchSize) {
   EXPECT_EQ(v.at("admitted").as_int(), 6);
   EXPECT_EQ(v.at("rejected_predicted").as_int(), 2);
   EXPECT_EQ(v.at("warm_starts").as_int(), 1);
+  EXPECT_EQ(v.at("operator_reuses").as_int(), 4);
+  EXPECT_EQ(v.at("rejected_parse").as_int(), 2);
   EXPECT_EQ(v.at("max_batch_size").as_int(), 3);
   EXPECT_EQ(v.at("cache").at("hits").as_int(), 3);
   EXPECT_EQ(v.at("cache").at("disk_hits").as_int(), 1);
@@ -800,6 +807,22 @@ TEST_F(ServiceTest, ServeRequestsAnswersEveryLine) {
   EXPECT_EQ(by_id.at("line3").at("status").as_string(), "error");
   EXPECT_EQ(by_id.at("late").at("status").as_string(), "rejected");
   EXPECT_EQ(by_id.at("late").at("reason").as_string(), "deadline");
+}
+
+TEST_F(ServiceTest, ServeRequestsCountsParseRejections) {
+  MetricsRegistry metrics;
+  std::istringstream in(
+      R"({"id":"ok1","matrix":")" + matrix_path_ + R"("})" "\n"
+      R"(not even json)" "\n"
+      R"({"id":"bad","matrix":"m.mtx","method":"schwarz"})" "\n");
+  std::ostringstream out;
+  const ServiceStats stats =
+      serve_requests({.workers = 1, .metrics = &metrics}, in, out);
+  EXPECT_EQ(stats.rejected_parse, 2);
+  EXPECT_EQ(stats.submitted, 1) << "parse rejections never reach submit";
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(metrics.counter("service.rejected_parse"), 2);
+  EXPECT_EQ(serve_stats_to_json(stats).at("rejected_parse").as_int(), 2);
 }
 
 TEST_F(ServiceTest, WorkerCountDoesNotChangeResults) {
@@ -999,6 +1022,208 @@ TEST_F(ServiceTest, WatchDirectoryServesGeneratorSpecRequests) {
   EXPECT_EQ(by_id.at("w-mtx").at("status").as_string(), "ok");
   EXPECT_EQ(by_id.at("w-bad").at("status").as_string(), "error")
       << "watch-dir intake must reject bad specs like every other intake";
+}
+
+
+// ------------------------------------------------------- operator reuse --
+
+SolveRequest gen_request(const std::string& id, const std::string& spec,
+                         std::uint64_t rhs_seed = 2022) {
+  SolveRequest req;
+  req.id = id;
+  req.generate = spec;
+  req.ranks = 4;
+  req.rhs_seed = rhs_seed;
+  req.want_history = true;
+  return req;
+}
+
+void expect_same_history(const SolveResponse& x, const SolveResponse& y) {
+  ASSERT_EQ(x.status, "ok") << x.id << ": " << x.reason;
+  ASSERT_EQ(y.status, "ok") << y.id << ": " << y.reason;
+  ASSERT_EQ(x.residuals.size(), y.residuals.size()) << x.id << " vs " << y.id;
+  for (std::size_t k = 0; k < x.residuals.size(); ++k) {
+    EXPECT_EQ(x.residuals[k], y.residuals[k])
+        << x.id << " vs " << y.id << " iteration " << k;
+  }
+}
+
+/// Solve each request alone on a fresh single-worker service without a
+/// factor cache: the reference every pooled path must reproduce.
+std::map<std::string, SolveResponse> solo_solves(
+    const std::vector<SolveRequest>& reqs) {
+  Collector col;
+  SolveService service({.workers = 1, .cache_capacity = 0}, col.handler());
+  for (const SolveRequest& req : reqs) service.submit(req);
+  service.drain();
+  return col.by_id;
+}
+
+TEST_F(ServiceTest, ReusedOperatorCountsOneRamHitPerResponse) {
+  const std::string spec = "stencil3d:nx=8,ny=8,nz=8";
+  Collector col;
+  {
+    SolveService service({.workers = 1, .cache_capacity = 4}, col.handler());
+    for (int i = 0; i < 5; ++i) {
+      service.submit(gen_request("g" + std::to_string(i), spec,
+                                 static_cast<std::uint64_t>(100 + i)));
+      service.drain();
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cache.misses, 1);
+    EXPECT_EQ(stats.cache.hits, 4) << "a reused batch still looks its factor up";
+    EXPECT_EQ(stats.cache.hits + stats.cache.disk_hits + stats.cache.misses,
+              stats.completed);
+    // g0 builds, g1 hits and pools its state, g2..g4 lease it.
+    EXPECT_EQ(stats.operator_reuses, 3);
+  }
+  for (int i = 1; i < 5; ++i) {
+    const SolveResponse& r = col.by_id.at("g" + std::to_string(i));
+    EXPECT_EQ(r.cache, "hit");
+    EXPECT_EQ(r.fingerprint, col.by_id.at("g0").fingerprint);
+  }
+  std::vector<SolveRequest> reqs;
+  for (int i = 0; i < 5; ++i) {
+    reqs.push_back(gen_request("g" + std::to_string(i), spec,
+                               static_cast<std::uint64_t>(100 + i)));
+  }
+  const auto solo = solo_solves(reqs);
+  for (const SolveRequest& req : reqs) {
+    expect_same_history(col.by_id.at(req.id), solo.at(req.id));
+  }
+}
+
+TEST_F(ServiceTest, ConcurrentSameKeyTrafficIsBitIdenticalToSoloSolves) {
+  // Four workers, one operator, no batching: every request is its own batch,
+  // three workers steal from the operator's lane, and at most one of them
+  // holds the pooled state at a time while the others build their own. Runs
+  // in the TSAN lane, which checks the lease hand-off between workers.
+  const std::string spec = "stencil2d:nx=24,ny=24";
+  std::vector<SolveRequest> reqs;
+  for (int i = 0; i < 16; ++i) {
+    reqs.push_back(gen_request("c" + std::to_string(i), spec,
+                               static_cast<std::uint64_t>(300 + i % 4)));
+  }
+  Collector col;
+  {
+    SolveService service({.workers = 4,
+                          .cache_capacity = 2,
+                          .batching = false,
+                          .solver_threads = 2},
+                         col.handler());
+    // Warm up: build the factor, then pool the state.
+    service.submit(gen_request("warm0", spec));
+    service.drain();
+    service.submit(gen_request("warm1", spec));
+    service.drain();
+    for (const SolveRequest& req : reqs) service.submit(req);
+    service.drain();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.completed, 18);
+    EXPECT_EQ(stats.cache.hits + stats.cache.disk_hits + stats.cache.misses,
+              stats.completed);
+    EXPECT_GE(stats.operator_reuses, 1);
+  }
+  const auto solo = solo_solves(reqs);
+  for (const SolveRequest& req : reqs) {
+    expect_same_history(col.by_id.at(req.id), solo.at(req.id));
+  }
+}
+
+TEST_F(ServiceTest, EvictedFactorIsNotReusedAndStaysBitIdentical) {
+  // Capacity 1: interleaving a second operator evicts the first one's
+  // factor, so its pooled preconditioner must not be used again. Covers a
+  // workload spec and a suite name (the assembled, graph-partitioned path).
+  for (const std::string spec : {"stencil2d:nx=20,ny=20", "nd24k-sim"}) {
+    SCOPED_TRACE(spec);
+    const std::string other = "stencil3d:nx=6,ny=6,nz=6";
+    Collector col;
+    std::int64_t reuses_after_eviction = -1;
+    {
+      SolveService service({.workers = 1, .cache_capacity = 1},
+                           col.handler());
+      const auto solve = [&](const SolveRequest& req) {
+        service.submit(req);
+        service.drain();
+      };
+      solve(gen_request("a0", spec));     // miss: build
+      solve(gen_request("a1", spec));     // hit: pooled
+      solve(gen_request("b0", other));    // miss: evicts a's factor
+      solve(gen_request("a2", spec));     // leased state, factor gone: rebuild
+      reuses_after_eviction = service.stats().operator_reuses;
+      solve(gen_request("a3", spec));     // hit: pooled again
+      solve(gen_request("a4", spec));     // reused
+      EXPECT_EQ(service.stats().operator_reuses, 1);
+    }
+    EXPECT_EQ(reuses_after_eviction, 0);
+    EXPECT_EQ(col.by_id.at("a2").cache, "miss");
+    EXPECT_EQ(col.by_id.at("a2").fingerprint, col.by_id.at("a0").fingerprint);
+    for (const std::string id : {"a1", "a2", "a3", "a4"}) {
+      expect_same_history(col.by_id.at(id), col.by_id.at("a0"));
+    }
+  }
+}
+
+TEST_F(ServiceTest, RewrittenMatrixFileGetsItsOwnFingerprintAndHistory) {
+  // File operators are never pooled: a file rewritten between requests is
+  // re-read and re-fingerprinted, never answered with the old operator.
+  Collector col;
+  {
+    SolveService service({.workers = 1, .cache_capacity = 4}, col.handler());
+    service.submit(request("old0"));
+    service.drain();
+    service.submit(request("old1"));
+    service.drain();
+    write_matrix_market_file(matrix_path_, anisotropic2d(12, 12, 0.05));
+    service.submit(request("new0"));
+    service.drain();
+    EXPECT_EQ(service.stats().operator_reuses, 0);
+  }
+  const SolveResponse& old1 = col.by_id.at("old1");
+  const SolveResponse& new0 = col.by_id.at("new0");
+  EXPECT_EQ(old1.cache, "hit");
+  EXPECT_EQ(new0.cache, "miss");
+  EXPECT_NE(new0.fingerprint, old1.fingerprint);
+  const auto fresh = solo_solves({request("new0")});
+  expect_same_history(new0, fresh.at("new0"));
+  ASSERT_EQ(old1.status, "ok");
+  EXPECT_NE(new0.residuals, old1.residuals);
+}
+
+TEST_F(ServiceTest, ZeroCacheCapacityRetainsNoOperator) {
+  const std::string spec = "stencil2d:nx=16,ny=16";
+  Collector col;
+  {
+    SolveService service({.workers = 1, .cache_capacity = 0}, col.handler());
+    for (int i = 0; i < 3; ++i) {
+      service.submit(gen_request("z" + std::to_string(i), spec));
+      service.drain();
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cache.misses, 3);
+    EXPECT_EQ(stats.cache.hits, 0);
+    EXPECT_EQ(stats.operator_reuses, 0);
+  }
+  for (const std::string id : {"z1", "z2"}) {
+    EXPECT_EQ(col.by_id.at(id).cache, "miss");
+    EXPECT_GT(col.by_id.at(id).load_us, 0.0) << "operator reloaded each time";
+    expect_same_history(col.by_id.at(id), col.by_id.at("z0"));
+  }
+}
+
+TEST_F(ServiceTest, LatencySplitCoversASoloRequest) {
+  Collector col;
+  {
+    SolveService service({.workers = 1}, col.handler());
+    service.submit(gen_request("solo", "stencil2d:nx=16,ny=16"));
+    service.drain();
+  }
+  const SolveResponse& r = col.by_id.at("solo");
+  ASSERT_EQ(r.status, "ok");
+  EXPECT_GT(r.load_us, 0.0);
+  EXPECT_LE(r.queue_us + r.load_us + r.setup_us + r.solve_us, r.total_us);
+  const JsonValue v = to_json(r);
+  EXPECT_EQ(v.at("load_us").as_double(), r.load_us);
 }
 
 }  // namespace

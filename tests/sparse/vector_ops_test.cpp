@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include <cmath>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace fsaic {
 namespace {
@@ -26,6 +33,31 @@ TEST(VectorOpsTest, DotAndNorms) {
   EXPECT_DOUBLE_EQ(dot(x, x), 25.0);
   EXPECT_DOUBLE_EQ(norm2(x), 5.0);
   EXPECT_DOUBLE_EQ(norm_inf(x), 4.0);
+}
+
+TEST(VectorOpsTest, DotSumsInIndexOrderUnderAnyOpenMpTeam) {
+  // Residual histories are bit-identical across thread counts only if every
+  // dot sums in one fixed order. Values spanning many magnitudes make any
+  // regrouping of the sum (e.g. an OpenMP reduction) change the bits.
+  constexpr std::size_t kN = 100003;
+  Rng rng(42);
+  std::vector<value_t> x(kN), y(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    x[i] = rng.next_uniform(-1.0, 1.0) *
+           std::pow(10.0, static_cast<int>(i % 13) - 6);
+    y[i] = rng.next_uniform(-1.0, 1.0);
+  }
+  value_t serial = 0.0;
+  for (std::size_t i = 0; i < kN; ++i) serial += x[i] * y[i];
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  const value_t team = dot(x, y);
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  EXPECT_EQ(team, serial) << "dot must not depend on the OpenMP team size";
 }
 
 TEST(VectorOpsTest, Scale) {

@@ -768,14 +768,16 @@ int cmd_serve(const Args& args) {
       snap_cv.notify_all();
       snapshot_thread.join();
     }
-    std::cerr << "serve: " << stats.submitted << " requests, "
-              << stats.completed << " completed, " << stats.errors
-              << " errors, "
+    std::cerr << "serve: " << stats.submitted + stats.rejected_parse
+              << " requests, " << stats.completed << " completed, "
+              << stats.errors << " errors, "
               << stats.rejected_queue_full + stats.rejected_deadline +
-                     stats.rejected_predicted
+                     stats.rejected_predicted + stats.rejected_parse
               << " rejected (" << stats.rejected_deadline << " deadline, "
-              << stats.rejected_predicted << " predicted); " << stats.batches
-              << " batches (max size " << stats.max_batch_size << "); cache "
+              << stats.rejected_predicted << " predicted, "
+              << stats.rejected_parse << " parse); " << stats.batches
+              << " batches (max size " << stats.max_batch_size << ", "
+              << stats.operator_reuses << " reused operators); cache "
               << stats.cache.hits << " hits / " << stats.cache.disk_hits
               << " disk / " << stats.cache.misses << " misses / "
               << stats.cache.evictions << " evictions / " << stats.cache.spills
