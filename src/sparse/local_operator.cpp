@@ -153,9 +153,8 @@ void LocalOperator::spmv_all(const CsrMatrix& a,
     csr_rows(a, boundary, x, y);
     return;
   }
-  // The historic non-overlapping path: OpenMP row-parallel over the whole
-  // block. Row sums are independent, so this matches the subset kernels bit
-  // for bit.
+  // The historic non-overlapping path: one sweep over the whole block. Row
+  // sums are independent, so this matches the subset kernels bit for bit.
   fsaic::spmv(a, x, y);
 }
 

@@ -7,7 +7,7 @@
 //
 //   Csr  — the scalar reference. Bit-for-bit the historic kernels: the
 //          interior/boundary subsets run the serial per-row loop, the full
-//          apply runs the OpenMP row-parallel fsaic::spmv. This path defines
+//          apply runs fsaic::spmv over every row. This path defines
 //          the numbers every fast path is differential-tested against.
 //   Sell — SELL-C-sigma (sparse/sell.hpp): unit-stride SIMD layout. The
 //          double-precision SELL kernel accumulates each row in the same

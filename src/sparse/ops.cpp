@@ -14,7 +14,6 @@ void spmv(const CsrMatrix& a, std::span<const value_t> x, std::span<value_t> y) 
   const auto col_idx = a.col_idx();
   const auto values = a.values();
   const index_t n = a.rows();
-#pragma omp parallel for schedule(static)
   for (index_t i = 0; i < n; ++i) {
     value_t sum = 0.0;
     const auto b = row_ptr[static_cast<std::size_t>(i)];

@@ -10,7 +10,7 @@
 
 namespace fsaic {
 
-/// y = A * x (OpenMP-parallel over rows).
+/// y = A * x (serial over rows; the Executor parallelizes across ranks).
 void spmv(const CsrMatrix& a, std::span<const value_t> x, std::span<value_t> y);
 
 /// y = A^T * x (scatter formulation, serial).

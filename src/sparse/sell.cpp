@@ -57,7 +57,6 @@ template <index_t C, typename T>
 void sell_chunks(index_t nc, const offset_t* cp, const index_t* cw,
                  const index_t* ci, const T* va, const index_t* perm,
                  index_t stored_rows, const value_t* xp, value_t* yp) {
-#pragma omp parallel for schedule(static)
   for (index_t c = 0; c < nc; ++c) {
     sell_chunk_body<C>(c, cp, cw, ci, va, perm, stored_rows, xp, yp);
   }
@@ -219,7 +218,6 @@ void SellMatrix::spmv_impl(const Values& values, std::span<const value_t> x,
   const index_t stored_rows = stored_rows_;
   const value_t* const xp = x.data();
   value_t* const yp = y.data();
-#pragma omp parallel for schedule(static)
   for (index_t c = 0; c < nc; ++c) {
     value_t acc[kMaxChunk] = {};
     const offset_t base = cp[c];

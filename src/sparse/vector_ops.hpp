@@ -14,7 +14,6 @@ namespace fsaic {
 inline void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y) {
   FSAIC_REQUIRE(x.size() == y.size(), "axpy size mismatch");
   const std::size_t n = x.size();
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     y[i] += alpha * x[i];
   }
@@ -24,7 +23,6 @@ inline void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y
 inline void xpby(std::span<const value_t> x, value_t beta, std::span<value_t> y) {
   FSAIC_REQUIRE(x.size() == y.size(), "xpby size mismatch");
   const std::size_t n = x.size();
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = x[i] + beta * y[i];
   }
@@ -46,7 +44,6 @@ inline void fused_cg_sweep(std::span<const value_t> u, std::span<const value_t> 
                     r.size() == p.size() && s.size() == p.size(),
                 "fused_cg_sweep size mismatch");
   const std::size_t n = u.size();
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     p[i] = u[i] + beta * p[i];
     const value_t si = w[i] + beta * s[i];
@@ -64,7 +61,6 @@ inline void fused_axpy_pair(value_t alpha, std::span<const value_t> d,
                     x.size() == r.size(),
                 "fused_axpy_pair size mismatch");
   const std::size_t n = d.size();
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     x[i] += alpha * d[i];
     r[i] += malpha * q[i];

@@ -113,58 +113,26 @@ RankLocalRows stencil_rows(const ResolvedWorkload& w, index_t row0,
 /// Deterministic distribution of `npoints` over `ncells` linearized cells
 /// via recursive binary splits of the cell index range: the left half of
 /// [lo, hi) gets a normal-approximated binomial share drawn from an Rng
-/// seeded by (seed, lo, hi). Any count/prefix/locate query replays the
-/// O(log ncells) splits on its root-to-leaf path — no O(ncells) state, so
-/// every rank answers queries about every cell independently and
-/// identically.
+/// seeded by (seed, lo, hi). Queries descend only the split nodes they
+/// need — no O(ncells) state — so every rank answers queries about any
+/// cell range independently and identically.
 class CellSplit {
  public:
   CellSplit(std::uint64_t seed, offset_t ncells, index_t npoints)
       : seed_(seed), ncells_(ncells), npoints_(npoints) {}
 
-  [[nodiscard]] index_t count(offset_t cell) const {
-    offset_t lo = 0;
-    offset_t hi = ncells_;
-    index_t cnt = npoints_;
-    while (hi - lo > 1 && cnt > 0) {
-      const offset_t mid = lo + (hi - lo) / 2;
-      const index_t left = left_of(lo, hi, cnt);
-      if (cell < mid) {
-        hi = mid;
-        cnt = left;
-      } else {
-        lo = mid;
-        cnt -= left;
-      }
-    }
-    return cnt;
-  }
-
-  /// Points in cells [0, cell).
-  [[nodiscard]] index_t prefix(offset_t cell) const {
-    if (cell >= ncells_) return npoints_;
-    offset_t lo = 0;
-    offset_t hi = ncells_;
-    index_t cnt = npoints_;
-    index_t acc = 0;
-    while (hi - lo > 1 && cnt > 0) {
-      const offset_t mid = lo + (hi - lo) / 2;
-      const index_t left = left_of(lo, hi, cnt);
-      if (cell < mid) {
-        hi = mid;
-        cnt = left;
-      } else {
-        acc += left;
-        lo = mid;
-        cnt -= left;
-      }
-    }
-    return cell <= lo ? acc : acc + cnt;
+  /// Point counts of cells [c0, c1) into counts[0, c1 - c0), and the points
+  /// in cells [0, c0) into *before, in one descent that visits only the
+  /// split nodes overlapping [c0, c1).
+  void range(offset_t c0, offset_t c1, index_t* counts, index_t* before) {
+    FSAIC_CHECK(0 <= c0 && c0 < c1 && c1 <= ncells_,
+                "cell range out of bounds");
+    descend(0, ncells_, npoints_, 0, c0, c1, counts, before);
   }
 
   /// Cell and in-cell offset of global point id `gid` (cell-major point
   /// numbering).
-  void locate(index_t gid, offset_t* cell, index_t* off) const {
+  void locate(index_t gid, offset_t* cell, index_t* off) {
     offset_t lo = 0;
     offset_t hi = ncells_;
     index_t cnt = npoints_;
@@ -185,12 +153,36 @@ class CellSplit {
     *off = g;
   }
 
+  /// left_of evaluations so far.
+  [[nodiscard]] offset_t split_nodes() const { return nodes_; }
+
  private:
+  /// Visit split node [lo, hi), holding `cnt` points after `pre` points in
+  /// the cells before it; the node overlaps [c0, c1).
+  void descend(offset_t lo, offset_t hi, index_t cnt, index_t pre,
+               offset_t c0, offset_t c1, index_t* counts, index_t* before) {
+    // The deepest visited node holding c0 is a leaf or an empty node; either
+    // way it has no points before c0.
+    if (lo <= c0) *before = pre;
+    if (hi - lo == 1 || cnt == 0) {
+      std::fill(counts + (std::max(lo, c0) - c0),
+                counts + (std::min(hi, c1) - c0), cnt);
+      return;
+    }
+    const offset_t mid = lo + (hi - lo) / 2;
+    const index_t left = left_of(lo, hi, cnt);
+    if (c0 < mid) descend(lo, mid, left, pre, c0, c1, counts, before);
+    if (mid < c1) {
+      descend(mid, hi, cnt - left, pre + left, c0, c1, counts, before);
+    }
+  }
+
   /// Left-half share of `cnt` points at split node [lo, hi): binomial
   /// (cnt, |left|/|range|) via the normal approximation with an Irwin-Hall
   /// normal deviate (sum of 12 uniforms) — O(1), exact conservation, and a
   /// pure function of (seed, lo, hi, cnt).
-  [[nodiscard]] index_t left_of(offset_t lo, offset_t hi, index_t cnt) const {
+  [[nodiscard]] index_t left_of(offset_t lo, offset_t hi, index_t cnt) {
+    ++nodes_;
     const offset_t mid = lo + (hi - lo) / 2;
     const double f = static_cast<double>(mid - lo) / static_cast<double>(hi - lo);
     Rng rng(hash_combine(hash_combine(seed_ ^ kSplitTag,
@@ -209,16 +201,16 @@ class CellSplit {
   std::uint64_t seed_;
   offset_t ncells_;
   index_t npoints_;
+  offset_t nodes_ = 0;
 };
 
 struct Point {
   double x = 0.0, y = 0.0, z = 0.0;
 };
 
-/// All points of one cell, in point-id order.
+/// All `cnt` points of one cell, in point-id order, into out[0, cnt).
 void cell_points(const ResolvedWorkload& w, offset_t cell, index_t cnt,
-                 std::vector<Point>& out) {
-  out.clear();
+                 Point* out) {
   const index_t cells = w.cells;
   const double width = 1.0 / static_cast<double>(cells);
   const auto cx = static_cast<index_t>(cell % cells);
@@ -229,17 +221,22 @@ void cell_points(const ResolvedWorkload& w, offset_t cell, index_t cnt,
     Rng rng(hash_combine(hash_combine(w.seed ^ kPointTag,
                                       static_cast<std::uint64_t>(cell)),
                          static_cast<std::uint64_t>(j)));
-    Point p;
+    Point& p = out[j];
     p.x = (static_cast<double>(cx) + rng.next_uniform()) * width;
     p.y = (static_cast<double>(cy) + rng.next_uniform()) * width;
     if (w.family == Family::Rgg3D) {
       p.z = (static_cast<double>(cz) + rng.next_uniform()) * width;
     }
-    out.push_back(p);
   }
 }
 
-RankLocalRows rgg_rows(const ResolvedWorkload& w, index_t row0, index_t row1) {
+/// Rows [row0, row1) live in the own cells [first, last]. Every neighbour
+/// of an own cell lies within `reach` linear cells of it, so one descent
+/// over the widened range [first - reach, last + reach] (clamped) yields
+/// every count and prefix the rows need, and each touched cell's point
+/// stream is generated at most once.
+RankLocalRows rgg_rows(const ResolvedWorkload& w, index_t row0, index_t row1,
+                       WgenStats* work) {
   RankLocalRows out;
   out.row_ptr.reserve(static_cast<std::size_t>(row1 - row0) + 1);
   out.row_ptr.push_back(0);
@@ -249,34 +246,57 @@ RankLocalRows rgg_rows(const ResolvedWorkload& w, index_t row0, index_t row1) {
   const offset_t ncells = three_d
                               ? static_cast<offset_t>(cells) * cells * cells
                               : static_cast<offset_t>(cells) * cells;
-  const CellSplit split(w.seed, ncells, w.rows);
+  CellSplit split(w.seed, ncells, w.rows);
   const double r2 = w.radius * w.radius;
 
-  offset_t cell = 0;
-  index_t off0 = 0;
-  split.locate(row0, &cell, &off0);
-  index_t pre = row0 - off0;  // points before `cell`
+  offset_t first = 0;
+  offset_t last = 0;
+  index_t off = 0;
+  split.locate(row0, &first, &off);
+  split.locate(row1 - 1, &last, &off);
+  const offset_t reach = three_d ? static_cast<offset_t>(cells) * cells +
+                                       cells + 1
+                                 : static_cast<offset_t>(cells) + 1;
+  const offset_t c0 = std::max<offset_t>(0, first - reach);
+  const offset_t c1 = std::min(ncells, last + reach + 1);
+  const auto span = static_cast<std::size_t>(c1 - c0);
+
+  // Point counts of cells [c0, c1) and their first global point ids.
+  std::vector<index_t> count(span);
+  std::vector<index_t> start(span + 1);
+  split.range(c0, c1, count.data(), &start[0]);
+  for (std::size_t i = 0; i < span; ++i) start[i + 1] = start[i] + count[i];
+
+  // Point streams, generated on first touch into slot gid - start[0].
+  std::vector<Point> pts(static_cast<std::size_t>(start[span] - start[0]));
+  std::vector<char> ready(span, 0);
+  offset_t streams = 0;
+  const auto points_of = [&](std::size_t i) -> const Point* {
+    Point* p = pts.data() + (start[i] - start[0]);
+    if (!ready[i]) {
+      cell_points(w, c0 + static_cast<offset_t>(i), count[i], p);
+      ready[i] = 1;
+      ++streams;
+    }
+    return p;
+  };
 
   struct NeighborCell {
-    index_t prefix = 0;
-    bool self = false;
-    std::vector<Point> pts;
+    index_t gid0 = 0;  // global id of the cell's first point
+    index_t cnt = 0;
+    const Point* pts = nullptr;
   };
-  std::vector<Point> own;
   std::vector<NeighborCell> nbrs;
   std::vector<std::pair<index_t, value_t>> entries;
 
-  for (; pre < row1 && cell < ncells; ++cell) {
-    const index_t cnt = split.count(cell);
+  for (offset_t cell = first; cell <= last; ++cell) {
+    const auto ci = static_cast<std::size_t>(cell - c0);
+    const index_t cnt = count[ci];
     if (cnt == 0) continue;
-    if (pre + cnt <= row0) {
-      pre += cnt;
-      continue;
-    }
-    cell_points(w, cell, cnt, own);
+    const Point* own = points_of(ci);
 
-    // Gather the 3^d surrounding cells (clamped at the domain boundary —
-    // no wrap-around).
+    // Gather the non-empty cells among the 3^d surrounding ones (clamped at
+    // the domain boundary — no wrap-around).
     nbrs.clear();
     const auto cx = static_cast<index_t>(cell % cells);
     const auto cyz = cell / cells;
@@ -291,32 +311,28 @@ RankLocalRows rgg_rows(const ResolvedWorkload& w, index_t row0, index_t row1) {
              xx <= std::min<index_t>(cells - 1, cx + 1); ++xx) {
           const offset_t nc =
               (static_cast<offset_t>(zz) * cells + yy) * cells + xx;
-          NeighborCell n;
-          n.self = nc == cell;
-          n.prefix = split.prefix(nc);
-          if (n.self) {
-            n.pts = own;
-          } else {
-            cell_points(w, nc, split.count(nc), n.pts);
-          }
-          nbrs.push_back(std::move(n));
+          FSAIC_CHECK(nc >= c0 && nc < c1, "rgg neighbour outside reach");
+          const auto ni = static_cast<std::size_t>(nc - c0);
+          if (count[ni] == 0) continue;
+          nbrs.push_back({start[ni], count[ni], points_of(ni)});
         }
       }
     }
 
+    const index_t pre = start[ci];
     const index_t j_lo = std::max<index_t>(0, row0 - pre);
     const index_t j_hi = std::min<index_t>(cnt, row1 - pre);
     for (index_t j = j_lo; j < j_hi; ++j) {
       const index_t gid = pre + j;
-      const Point& pj = own[static_cast<std::size_t>(j)];
+      const Point& pj = own[j];
       for (const NeighborCell& n : nbrs) {
-        for (std::size_t k = 0; k < n.pts.size(); ++k) {
-          if (n.self && static_cast<index_t>(k) == j) continue;
+        for (index_t k = 0; k < n.cnt; ++k) {
+          if (n.gid0 + k == gid) continue;
           const double dx = n.pts[k].x - pj.x;
           const double dy = n.pts[k].y - pj.y;
           const double dz = n.pts[k].z - pj.z;
           if (dx * dx + dy * dy + dz * dz <= r2) {
-            entries.emplace_back(n.prefix + static_cast<index_t>(k), -1.0);
+            entries.emplace_back(n.gid0 + k, -1.0);
           }
         }
       }
@@ -325,10 +341,13 @@ RankLocalRows rgg_rows(const ResolvedWorkload& w, index_t row0, index_t row1) {
                            static_cast<value_t>(entries.size()) + w.shift);
       append_row(entries, out);
     }
-    pre += cnt;
   }
   FSAIC_REQUIRE(out.row_ptr.size() == static_cast<std::size_t>(row1 - row0) + 1,
                 "rgg generation lost rows");
+  if (work != nullptr) {
+    work->split_nodes += split.split_nodes();
+    work->cell_streams += streams;
+  }
   return out;
 }
 
@@ -396,7 +415,7 @@ RankLocalRows rmat_rows(const ResolvedWorkload& w, index_t row0, index_t row1) {
 }  // namespace
 
 RankLocalRows generate_rows(const ResolvedWorkload& w, index_t row0,
-                            index_t row1) {
+                            index_t row1, WgenStats* work) {
   FSAIC_REQUIRE(row0 >= 0 && row0 <= row1 && row1 <= w.rows,
                 "generate_rows range out of bounds");
   switch (w.family) {
@@ -406,7 +425,7 @@ RankLocalRows generate_rows(const ResolvedWorkload& w, index_t row0,
       return stencil_rows(w, row0, row1);
     case Family::Rgg2D:
     case Family::Rgg3D:
-      return rgg_rows(w, row0, row1);
+      return rgg_rows(w, row0, row1, work);
     case Family::Rmat:
       return rmat_rows(w, row0, row1);
   }
@@ -419,10 +438,13 @@ DistCsr generate_dist(const ResolvedWorkload& w, rank_t nranks,
   FSAIC_REQUIRE(nranks >= 1, "generate_dist needs >= 1 ranks");
   const Layout layout = Layout::blocked(w.rows, nranks);
   const auto t0 = std::chrono::steady_clock::now();
+  // Per-rank work counters: ranks may generate concurrently.
+  std::vector<WgenStats> work(static_cast<std::size_t>(nranks));
   DistCsr d = DistCsr::from_rank_local(
       layout,
-      [&w, &layout](rank_t p) {
-        return generate_rows(w, layout.begin(p), layout.end(p));
+      [&w, &layout, &work](rank_t p) {
+        return generate_rows(w, layout.begin(p), layout.end(p),
+                             &work[static_cast<std::size_t>(p)]);
       },
       comm, exec);
   if (stats != nullptr) {
@@ -431,9 +453,13 @@ DistCsr generate_dist(const ResolvedWorkload& w, rank_t nranks,
     stats->nranks = nranks;
     stats->max_rank_nnz = d.max_rank_nnz();
     stats->max_rank_rows = 0;
+    stats->split_nodes = 0;
+    stats->cell_streams = 0;
     for (rank_t p = 0; p < nranks; ++p) {
       stats->max_rank_rows =
           std::max(stats->max_rank_rows, layout.local_size(p));
+      stats->split_nodes += work[static_cast<std::size_t>(p)].split_nodes;
+      stats->cell_streams += work[static_cast<std::size_t>(p)].cell_streams;
     }
     stats->generate_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -119,12 +119,6 @@ struct ResolvedWorkload {
 [[nodiscard]] ResolvedWorkload resolve_workload(const WorkloadSpec& spec,
                                                 rank_t nranks);
 
-/// Generate global rows [row0, row1) with global, sorted, duplicate-free
-/// column ids per row. Pure and deterministic: any split of [0, rows) into
-/// ranges concatenates to the same operator.
-[[nodiscard]] RankLocalRows generate_rows(const ResolvedWorkload& w,
-                                          index_t row0, index_t row1);
-
 /// Per-rank footprint accounting of one generate_dist() call — the proof
 /// that nothing global materialized: max_rank_nnz stays ~nnz/nranks.
 struct WgenStats {
@@ -134,6 +128,11 @@ struct WgenStats {
   index_t max_rank_rows = 0;
   offset_t max_rank_nnz = 0;
   double generate_seconds = 0.0;
+  /// Generation work as counts, summed over ranks (rgg families; 0 for the
+  /// others): cell-split tree nodes evaluated and cell point streams
+  /// generated.
+  offset_t split_nodes = 0;
+  offset_t cell_streams = 0;
 
   /// max_rank_nnz / (nnz / nranks); 1.0 is a perfect split.
   [[nodiscard]] double balance() const {
@@ -142,6 +141,16 @@ struct WgenStats {
                    : 1.0;
   }
 };
+
+/// Generate global rows [row0, row1) with global, sorted, duplicate-free
+/// column ids per row. Pure and deterministic: any split of [0, rows) into
+/// ranges concatenates to the same operator. A non-null `work` gets this
+/// range's split_nodes and cell_streams added to it. An rgg range costs one
+/// cell-split descent plus one point stream per touched cell: time and
+/// memory O(rows in range + halo cells).
+[[nodiscard]] RankLocalRows generate_rows(const ResolvedWorkload& w,
+                                          index_t row0, index_t row1,
+                                          WgenStats* work = nullptr);
 
 /// Generate the operator directly into per-rank DistCsr blocks over
 /// Layout::blocked(rows, nranks) — no global matrix is ever assembled.

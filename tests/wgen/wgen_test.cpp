@@ -160,6 +160,80 @@ TEST(WgenDifferentialTest, EveryFamilyMatchesSequentialAssemblyAtAnyRankCount) {
   }
 }
 
+// Instances big enough that a rank's cell range sits well inside the
+// domain: the widened neighbour range of every rank is clamped on at most
+// one side, and ranks split cells.
+const char* const kLargeRggSpecs[] = {
+    "rgg2d:n=16384,seed=12345",
+    "rgg3d:n=16384",
+};
+
+TEST(WgenDifferentialTest, LargeRggMatchesSequentialAssemblyAtAnyRankCount) {
+  for (const char* text : kLargeRggSpecs) {
+    SCOPED_TRACE(text);
+    const ResolvedWorkload w =
+        wgen::resolve_workload(wgen::parse_workload_spec(text), 1);
+    const CsrMatrix global = wgen::generate_global(w);
+    const MatrixFingerprint ref = fingerprint_of(global);
+    for (const rank_t nranks : {1, 2, 3, 7, 8, 13}) {
+      SCOPED_TRACE(nranks);
+      const DistCsr d = wgen::generate_dist(w, nranks, CommConfig{});
+      expect_same_matrix(d.to_global(), global);
+      EXPECT_EQ(fingerprint_rank_local(d), ref);
+    }
+  }
+}
+
+/// generate_rows(w, r0, r1) against rows [r0, r1) of the full operator.
+void expect_rows_match_slice(const ResolvedWorkload& w, const CsrMatrix& global,
+                             index_t r0, index_t r1) {
+  SCOPED_TRACE(testing::Message() << "rows [" << r0 << ", " << r1 << ")");
+  const RankLocalRows rows = wgen::generate_rows(w, r0, r1);
+  const offset_t e0 = global.row_ptr()[static_cast<std::size_t>(r0)];
+  const offset_t e1 = global.row_ptr()[static_cast<std::size_t>(r1)];
+  std::vector<offset_t> ptr;
+  for (index_t i = r0; i <= r1; ++i) {
+    ptr.push_back(global.row_ptr()[static_cast<std::size_t>(i)] - e0);
+  }
+  ASSERT_EQ(rows.row_ptr, ptr);
+  EXPECT_EQ(rows.col_gids,
+            std::vector<index_t>(global.col_idx().begin() + e0,
+                                 global.col_idx().begin() + e1));
+  EXPECT_EQ(rows.values, std::vector<value_t>(global.values().begin() + e0,
+                                              global.values().begin() + e1));
+}
+
+TEST(WgenDifferentialTest, RggRowRangesMatchGlobalSlices) {
+  // Small instances hold ~2-3 points per cell, so sweeping every start row
+  // with short lengths covers ranges inside one cell, ranges starting and
+  // ending mid-cell, the first and last cells, and empty ranges.
+  for (const char* text : {"rgg2d:n=500,seed=3", "rgg3d:n=300,seed=5"}) {
+    SCOPED_TRACE(text);
+    const ResolvedWorkload w =
+        wgen::resolve_workload(wgen::parse_workload_spec(text), 1);
+    const CsrMatrix global = wgen::generate_global(w);
+    for (const index_t len : {0, 1, 2, 3, 7}) {
+      for (index_t r0 = 0; r0 + len <= w.rows; ++r0) {
+        expect_rows_match_slice(w, global, r0, r0 + len);
+      }
+    }
+  }
+  for (const char* text : kLargeRggSpecs) {
+    SCOPED_TRACE(text);
+    const ResolvedWorkload w =
+        wgen::resolve_workload(wgen::parse_workload_spec(text), 1);
+    const CsrMatrix global = wgen::generate_global(w);
+    const index_t n = w.rows;
+    const std::pair<index_t, index_t> ranges[] = {
+        {0, 0},         {0, 1},         {0, 2},     {0, 1000},
+        {n - 1, n},     {n - 2, n},     {n - 1000, n}, {n, n},
+        {777, 778},     {777, 779},     {777, 5555},   {8191, 8193},
+        {5000, 5000},   {1, n - 1},
+    };
+    for (const auto& [r0, r1] : ranges) expect_rows_match_slice(w, global, r0, r1);
+  }
+}
+
 TEST(WgenDifferentialTest, FromRankLocalBlocksMatchDistribute) {
   const ResolvedWorkload w = wgen::resolve_workload(
       wgen::parse_workload_spec("rgg2d:n=400,seed=11"), 1);
@@ -228,6 +302,45 @@ TEST(WgenTest, StatsProveRankLocalFootprint) {
   // planes, so the imbalance is one plane of entries at most.
   EXPECT_LT(stats.balance(), 1.05);
   EXPECT_GT(stats.generate_seconds, 0.0);
+  EXPECT_EQ(stats.split_nodes, 0);
+  EXPECT_EQ(stats.cell_streams, 0);
+}
+
+TEST(WgenTest, RggWorkIsLinearInTouchedCells) {
+  for (const char* text : kLargeRggSpecs) {
+    SCOPED_TRACE(text);
+    const ResolvedWorkload w =
+        wgen::resolve_workload(wgen::parse_workload_spec(text), 1);
+    const bool three_d = w.family == Family::Rgg3D;
+    const offset_t cells = w.cells;
+    const offset_t ncells = three_d ? cells * cells * cells : cells * cells;
+    // Linear cell distance to the farthest neighbour, and split-tree depth.
+    const offset_t reach = three_d ? cells * cells + cells + 1 : cells + 1;
+    offset_t depth = 0;
+    while ((offset_t{1} << depth) < ncells) ++depth;
+
+    // One range over the whole domain: every cell stream at most once, and
+    // every split node at most once plus the two row-locating descents.
+    wgen::WgenStats one;
+    (void)wgen::generate_rows(w, 0, w.rows, &one);
+    EXPECT_GT(one.cell_streams, 0);
+    EXPECT_LE(one.cell_streams, ncells);
+    EXPECT_LE(one.split_nodes, ncells - 1 + 2 * depth);
+
+    for (const rank_t nranks : {2, 8, 13}) {
+      SCOPED_TRACE(nranks);
+      // Consecutive ranks share at most one own cell, and each rank widens
+      // its own cells by `reach` on both sides.
+      const offset_t touched = ncells + (nranks - 1) + nranks * 2 * reach;
+      wgen::WgenStats stats;
+      (void)wgen::generate_dist(w, nranks, CommConfig{}, &stats);
+      EXPECT_LE(stats.cell_streams, touched);
+      // The range descent visits at most one node per touched cell plus two
+      // partial nodes per level; locating the first and last row adds two
+      // root-to-leaf walks.
+      EXPECT_LE(stats.split_nodes, touched + nranks * 4 * depth);
+    }
+  }
 }
 
 // ---- golden fingerprints ------------------------------------------------
@@ -244,6 +357,8 @@ TEST(WgenGoldenTest, SmallInstanceFingerprintsArePinned) {
       {"rgg2d:n=500,seed=3", "2b9dbf0681b94380"},
       {"rgg3d:n=300,seed=5", "b1649e358e86b6e6"},
       {"rmat:n=128,edge_factor=4,seed=7", "79d6981ca97c606c"},
+      {"rgg2d:n=16384,seed=12345", "5fade54793db9dd7"},
+      {"rgg3d:n=16384", "11affdd232d906b8"},
   };
   for (const auto& [text, expected] : golden) {
     SCOPED_TRACE(text);

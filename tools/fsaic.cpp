@@ -899,7 +899,8 @@ int cmd_gen(const Args& args) {
             << "  halo/update " << dist.halo_update_bytes() << " B in "
             << dist.halo_update_messages() << " messages\n"
             << "  fingerprint " << hash_hex(fp.content_hash) << ", generated in "
-            << sci2(stats.generate_seconds) << " s\n";
+            << sci2(stats.generate_seconds) << " s (" << stats.split_nodes
+            << " split nodes, " << stats.cell_streams << " cell streams)\n";
   if (args.has("out")) {
     const std::string out = args.get("out", "");
     write_matrix_market_file(out, wgen::generate_global(w));
