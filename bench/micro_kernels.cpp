@@ -31,8 +31,6 @@
 #include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "solver/pcg.hpp"
-#include "graph/level_schedule.hpp"
-#include "solver/ic0.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/sell.hpp"
 #include "sparse/vector_ops.hpp"
@@ -148,17 +146,6 @@ void BM_SellSpmv(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_SellSpmv)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_LevelSchedule(benchmark::State& state) {
-  const auto n = static_cast<index_t>(state.range(0));
-  const auto l = ic0_factor(poisson2d(n, n));
-  for (auto _ : state) {
-    auto schedule = level_schedule(l);
-    benchmark::DoNotOptimize(&schedule);
-  }
-  state.SetItemsProcessed(state.iterations() * l.nnz());
-}
-BENCHMARK(BM_LevelSchedule)->Arg(64)->Arg(128);
 
 void BM_DynamicFilter(benchmark::State& state) {
   const auto a = poisson2d(64, 64);

@@ -45,7 +45,7 @@ void mark_pattern_row(std::span<const index_t> cols, index_t n, RowScratch& s) {
 
 /// Gather-assemble A(cols, cols) into `out`: one streaming pass over the CSR
 /// rows A(cols[r], :), entries landing via the position markers. Entries of
-/// the pattern absent from A stay 0, exactly like the at()-based reference.
+/// the pattern absent from A stay 0, exactly as entrywise at() lookups give.
 /// Requires mark_pattern_row to have been called for `cols`.
 void gather_gram(const CsrMatrix& a, std::span<const index_t> cols,
                  bool lower_only, DenseMatrix& out, RowScratch& s) {
@@ -67,8 +67,8 @@ void gather_gram(const CsrMatrix& a, std::span<const index_t> cols,
 
 /// The dense solve of one row system, gather-assembled. Returns whether the
 /// system was solved; the solution is left in s.rhs.
-bool solve_local_system_gather(const CsrMatrix& a, std::span<const index_t> cols,
-                               index_t diag_pos, RowScratch& s) {
+bool solve_local_system(const CsrMatrix& a, std::span<const index_t> cols,
+                        index_t diag_pos, RowScratch& s) {
   const auto m = static_cast<index_t>(cols.size());
   mark_pattern_row(cols, a.cols(), s);
   gather_gram(a, cols, /*lower_only=*/true, s.gram, s);
@@ -82,55 +82,23 @@ bool solve_local_system_gather(const CsrMatrix& a, std::span<const index_t> cols
   }
   ++s.stats.fallback_rows;
   // The LDL^T/LU fallback chain reads the full matrix; re-gather both
-  // triangles so it sees exactly what the reference path assembles.
+  // triangles, entries absent from A staying 0.
   gather_gram(a, cols, /*lower_only=*/false, s.full, s);
   s.rhs.assign(static_cast<std::size_t>(m), 0.0);
   s.rhs[static_cast<std::size_t>(diag_pos)] = 1.0;
   return solve_spd_system(s.full, s.rhs);
 }
 
-/// The pre-gather reference: entrywise at() assembly with per-row
-/// allocations, kept verbatim so differential tests and the setup-speed
-/// bench measure the real historic cost profile.
-bool solve_local_system_reference(const CsrMatrix& a,
-                                  std::span<const index_t> cols,
-                                  index_t diag_pos, RowScratch& s) {
-  const auto m = static_cast<index_t>(cols.size());
-  DenseMatrix local(m, m);
-  for (index_t r = 0; r < m; ++r) {
-    for (index_t c = 0; c < m; ++c) {
-      local(r, c) = a.at(cols[static_cast<std::size_t>(r)],
-                         cols[static_cast<std::size_t>(c)]);
-    }
-  }
-  s.rhs.assign(static_cast<std::size_t>(m), 0.0);
-  s.rhs[static_cast<std::size_t>(diag_pos)] = 1.0;
-  {
-    DenseMatrix chol = local;
-    if (cholesky_factor(chol)) {
-      cholesky_solve(chol, s.rhs);
-      return true;
-    }
-  }
-  ++s.stats.fallback_rows;
-  s.rhs.assign(static_cast<std::size_t>(m), 0.0);
-  s.rhs[static_cast<std::size_t>(diag_pos)] = 1.0;
-  return solve_spd_system(local, s.rhs);
-}
-
 /// Solve one pattern row and write the normalized G row into `out`.
 void solve_fsai_row(const CsrMatrix& a, index_t i, std::span<const index_t> cols,
-                    std::span<value_t> out, GramAssembly assembly,
-                    RowScratch& s) {
+                    std::span<value_t> out, RowScratch& s) {
   const auto m = static_cast<index_t>(cols.size());
   // The diagonal is the last pattern entry of a sorted lower-triangular row.
   FSAIC_CHECK(cols.back() == i, "diagonal must close each pattern row");
   const index_t diag_pos = m - 1;
   ++s.stats.rows_solved;
 
-  const bool solved = assembly == GramAssembly::Gather
-                          ? solve_local_system_gather(a, cols, diag_pos, s)
-                          : solve_local_system_reference(a, cols, diag_pos, s);
+  const bool solved = solve_local_system(a, cols, diag_pos, s);
 
   const value_t ghat_ii =
       solved ? s.rhs[static_cast<std::size_t>(diag_pos)] : 0.0;
@@ -152,46 +120,6 @@ void solve_fsai_row(const CsrMatrix& a, index_t i, std::span<const index_t> cols
   }
 }
 
-/// The shared row loop of compute/refine: every row either reuses its
-/// provisional values (refine only, pattern row unchanged) or is solved.
-/// Rows are independent — each writes only its own value range of `g` — so
-/// any parallel_for schedule produces identical bits.
-void run_setup_rows(const CsrMatrix& a, const SparsityPattern& s, CsrMatrix& g,
-                    const CsrMatrix* reuse_from, FsaiFactorStats* stats,
-                    const FsaiComputeOptions& options) {
-  Executor& exec = resolve_executor(options.exec);
-  const int width = std::max(1, exec.parallel_for_width());
-  std::vector<RowScratch> scratch(static_cast<std::size_t>(width));
-
-  exec.parallel_for(a.rows(), [&](index_t i, int slot) {
-    RowScratch& st = scratch[static_cast<std::size_t>(slot)];
-    const auto cols = s.row(i);
-    auto out = g.row_vals(i);
-    if (reuse_from != nullptr) {
-      const auto pre_cols = reuse_from->row_cols(i);
-      if (pre_cols.size() == cols.size() &&
-          std::equal(cols.begin(), cols.end(), pre_cols.begin())) {
-        const auto pre_vals = reuse_from->row_vals(i);
-        std::copy(pre_vals.begin(), pre_vals.end(), out.begin());
-        ++st.stats.rows_reused;
-        return;
-      }
-    }
-    solve_fsai_row(a, i, cols, out, options.assembly, st);
-  });
-
-  if (stats != nullptr) {
-    *stats = {};
-    for (const RowScratch& st : scratch) {
-      stats->fallback_rows += st.stats.fallback_rows;
-      stats->degenerate_rows += st.stats.degenerate_rows;
-      stats->rows_solved += st.stats.rows_solved;
-      stats->rows_reused += st.stats.rows_reused;
-      stats->gram_entries_gathered += st.stats.gram_entries_gathered;
-    }
-  }
-}
-
 void validate_fsai_inputs(const CsrMatrix& a, const SparsityPattern& s) {
   FSAIC_REQUIRE(a.rows() == a.cols(), "FSAI requires a square matrix");
   FSAIC_REQUIRE(s.rows() == a.rows() && s.cols() == a.cols(),
@@ -202,28 +130,31 @@ void validate_fsai_inputs(const CsrMatrix& a, const SparsityPattern& s) {
 
 }  // namespace
 
-const char* to_string(GramAssembly assembly) {
-  return assembly == GramAssembly::Gather ? "gather" : "reference";
-}
-
 CsrMatrix compute_fsai_factor(const CsrMatrix& a, const SparsityPattern& s,
                               FsaiFactorStats* stats,
                               const FsaiComputeOptions& options) {
   validate_fsai_inputs(a, s);
   CsrMatrix g{s};
-  run_setup_rows(a, s, g, nullptr, stats, options);
-  return g;
-}
+  Executor& exec = resolve_executor(options.exec);
+  const int width = std::max(1, exec.parallel_for_width());
+  std::vector<RowScratch> scratch(static_cast<std::size_t>(width));
 
-CsrMatrix refine_fsai_factor(const CsrMatrix& a, const CsrMatrix& g_pre,
-                             const SparsityPattern& s_final,
-                             FsaiFactorStats* stats,
-                             const FsaiComputeOptions& options) {
-  validate_fsai_inputs(a, s_final);
-  FSAIC_REQUIRE(g_pre.rows() == a.rows() && g_pre.cols() == a.cols(),
-                "provisional factor shape mismatch");
-  CsrMatrix g{s_final};
-  run_setup_rows(a, s_final, g, &g_pre, stats, options);
+  // Rows are independent — each writes only its own value range of `g` — so
+  // any parallel_for schedule produces identical bits.
+  exec.parallel_for(a.rows(), [&](index_t i, int slot) {
+    solve_fsai_row(a, i, s.row(i), g.row_vals(i),
+                   scratch[static_cast<std::size_t>(slot)]);
+  });
+
+  if (stats != nullptr) {
+    *stats = {};
+    for (const RowScratch& st : scratch) {
+      stats->fallback_rows += st.stats.fallback_rows;
+      stats->degenerate_rows += st.stats.degenerate_rows;
+      stats->rows_solved += st.stats.rows_solved;
+      stats->gram_entries_gathered += st.stats.gram_entries_gathered;
+    }
+  }
   return g;
 }
 

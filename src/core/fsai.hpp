@@ -15,8 +15,9 @@
 // instead of the m²·log(nnz) binary searches of entrywise CsrMatrix::at()
 // lookups. Only the lower triangle is filled on the fast path (Cholesky
 // reads nothing else); the full matrix is re-gathered for the rare fallback
-// rows. The pre-gather entrywise path is kept as GramAssembly::Reference for
-// differential testing — both produce bit-identical factors.
+// rows. This is the only assembly in the library; the entrywise at()
+// assembly lives on as a test oracle (tests/core/gram_reference.hpp), and
+// the two produce bit-identical factors.
 #pragma once
 
 #include <cstdint>
@@ -35,29 +36,16 @@ struct FsaiFactorStats {
   index_t degenerate_rows = 0;
   /// Rows whose dense system was actually assembled and solved.
   index_t rows_solved = 0;
-  /// Rows copied verbatim from a provisional factor (refine_fsai_factor
-  /// only: the row's pattern survived filtering unchanged).
+  /// Always 0: every row is solved. Kept only because the measured
+  /// benchmark (perfbench/perfbench.cpp) still reads it.
   index_t rows_reused = 0;
-  /// Matrix entries scattered into Gram systems by the gather assembly
-  /// (0 under GramAssembly::Reference).
+  /// Matrix entries scattered into Gram systems by the gather assembly.
   std::int64_t gram_entries_gathered = 0;
 
   bool operator==(const FsaiFactorStats&) const = default;
 };
 
-/// How the per-row dense systems A(S_i, S_i) are assembled.
-enum class GramAssembly {
-  /// Epoch-tagged scatter/gather over the CSR rows (the fast path).
-  Gather,
-  /// Entrywise binary-search at() lookups (the pre-gather reference path,
-  /// kept for differential tests and the setup-speed bench).
-  Reference,
-};
-
-[[nodiscard]] const char* to_string(GramAssembly assembly);
-
 struct FsaiComputeOptions {
-  GramAssembly assembly = GramAssembly::Gather;
   /// Row-loop engine (null -> the process-wide default executor). Factors
   /// are bit-identical for every executor and thread count.
   Executor* exec = nullptr;
@@ -67,16 +55,6 @@ struct FsaiComputeOptions {
 /// square of a's size and contain every diagonal entry.
 [[nodiscard]] CsrMatrix compute_fsai_factor(
     const CsrMatrix& a, const SparsityPattern& s,
-    FsaiFactorStats* stats = nullptr, const FsaiComputeOptions& options = {});
-
-/// Incremental refactorization after filtering: compute G on `s_final` given
-/// the provisional factor `g_pre` (computed on a superset pattern). Each row
-/// solve depends only on that row's pattern, so rows whose pattern row in
-/// `s_final` equals their row in `g_pre` are copied verbatim and only the
-/// rows filtering actually shrank are re-solved. Bit-identical to a full
-/// compute_fsai_factor(a, s_final) — asserted by the differential tests.
-[[nodiscard]] CsrMatrix refine_fsai_factor(
-    const CsrMatrix& a, const CsrMatrix& g_pre, const SparsityPattern& s_final,
     FsaiFactorStats* stats = nullptr, const FsaiComputeOptions& options = {});
 
 /// The a-priori pattern of Algorithm 1 steps 1–2: lower triangle of the

@@ -33,15 +33,14 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
   }
 
   // Step 4: provisional values + filtering of added entries.
-  const FsaiComputeOptions copts{options.assembly, options.exec};
-  CsrMatrix g_pre;
+  const FsaiComputeOptions copts{options.exec};
   const bool filtering_active =
       options.filter > 0.0 && result.extended_pattern.nnz() > result.base_pattern.nnz();
   {
     ScopedPhase phase(trace, "filtering", "setup");
     if (filtering_active) {
-      g_pre = compute_fsai_factor(a, result.extended_pattern,
-                                  &result.provisional_factor_stats, copts);
+      const CsrMatrix g_pre = compute_fsai_factor(
+          a, result.extended_pattern, &result.provisional_factor_stats, copts);
       FilterOptions fopts;
       fopts.filter = options.filter;
       fopts.only_added_entries = options.filter_only_added;
@@ -63,17 +62,11 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
     }
   }
 
-  // Step 5: recompute values on the surviving pattern. When a provisional
-  // factor exists, rows whose pattern filtering left untouched are copied
-  // from it verbatim (each row solve depends only on that row's pattern, so
-  // the result is bit-identical to a full recompute).
+  // Step 5: recompute values on the surviving pattern.
   {
     ScopedPhase phase(trace, "factorization", "setup");
-    result.g = filtering_active && options.incremental_refactor
-                   ? refine_fsai_factor(a, g_pre, result.final_pattern,
-                                        &result.factor_stats, copts)
-                   : compute_fsai_factor(a, result.final_pattern,
-                                         &result.factor_stats, copts);
+    result.g = compute_fsai_factor(a, result.final_pattern,
+                                   &result.factor_stats, copts);
   }
 
   result.nnz_increase_pct =

@@ -30,11 +30,12 @@ struct SpaiScratch {
 
 /// One column solve via scatter-stream assembly. The Gram dot products
 /// accumulate the common-column terms in the same ascending order with the
-/// same operand order as the historic merge-join, and the rhs gather lands
-/// the same stored entries at() would return — bit-identical results.
-void solve_spai_column_gather(const CsrMatrix& a, const CsrMatrix& at,
-                              index_t j, std::span<const index_t> cols,
-                              std::span<value_t> out, SpaiScratch& sc) {
+/// same operand order as a two-pointer merge-join of the A^T rows, and the
+/// rhs gather lands the same stored entries at() would return, so the
+/// columns are bit-identical to the entrywise test oracle.
+void solve_spai_column(const CsrMatrix& a, const CsrMatrix& at, index_t j,
+                       std::span<const index_t> cols, std::span<value_t> out,
+                       SpaiScratch& sc) {
   const auto k = static_cast<index_t>(cols.size());
   if (sc.pos.size() < static_cast<std::size_t>(a.cols())) {
     sc.pos.resize(static_cast<std::size_t>(a.cols()));
@@ -101,53 +102,6 @@ void solve_spai_column_gather(const CsrMatrix& a, const CsrMatrix& at,
   std::copy(sc.rhs.begin(), sc.rhs.end(), out.begin());
 }
 
-/// The historic entrywise path, kept verbatim for differential testing.
-void solve_spai_column_reference(const CsrMatrix& a, const CsrMatrix& at,
-                                 index_t j, std::span<const index_t> cols,
-                                 std::span<value_t> out) {
-  const auto k = static_cast<index_t>(cols.size());
-  // Gram(u, v) = column_u(A) . column_v(A) = row_u(A^T) . row_v(A^T).
-  DenseMatrix gram(k, k);
-  for (index_t u = 0; u < k; ++u) {
-    const auto ucols = at.row_cols(cols[static_cast<std::size_t>(u)]);
-    const auto uvals = at.row_vals(cols[static_cast<std::size_t>(u)]);
-    for (index_t v = u; v < k; ++v) {
-      const auto vcols = at.row_cols(cols[static_cast<std::size_t>(v)]);
-      const auto vvals = at.row_vals(cols[static_cast<std::size_t>(v)]);
-      value_t dot = 0.0;
-      std::size_t pu = 0;
-      std::size_t pv = 0;
-      while (pu < ucols.size() && pv < vcols.size()) {
-        if (ucols[pu] == vcols[pv]) {
-          dot += uvals[pu] * vvals[pv];
-          ++pu;
-          ++pv;
-        } else if (ucols[pu] < vcols[pv]) {
-          ++pu;
-        } else {
-          ++pv;
-        }
-      }
-      gram(u, v) = dot;
-      gram(v, u) = dot;
-    }
-  }
-  // rhs_u = column_u(A) . e_j = A(j, col_u).
-  std::vector<value_t> rhs(static_cast<std::size_t>(k));
-  for (index_t u = 0; u < k; ++u) {
-    rhs[static_cast<std::size_t>(u)] = a.at(j, cols[static_cast<std::size_t>(u)]);
-  }
-  if (!solve_spd_system(std::move(gram), rhs)) {
-    // Degenerate column: fall back to Jacobi scaling.
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-    const auto it = std::lower_bound(cols.begin(), cols.end(), j);
-    if (it != cols.end() && *it == j && a.at(j, j) != 0.0) {
-      rhs[static_cast<std::size_t>(it - cols.begin())] = 1.0 / a.at(j, j);
-    }
-  }
-  std::copy(rhs.begin(), rhs.end(), out.begin());
-}
-
 }  // namespace
 
 CsrMatrix compute_spai(const CsrMatrix& a, const SparsityPattern& s,
@@ -171,13 +125,8 @@ CsrMatrix compute_spai(const CsrMatrix& a, const SparsityPattern& s,
   exec.parallel_for(a.rows(), [&](index_t j, int slot) {
     const auto cols = s.row(j);
     if (cols.empty()) return;
-    auto out = m.row_vals(j);
-    if (options.assembly == GramAssembly::Gather) {
-      solve_spai_column_gather(a, at, j, cols, out,
-                               scratch[static_cast<std::size_t>(slot)]);
-    } else {
-      solve_spai_column_reference(a, at, j, cols, out);
-    }
+    solve_spai_column(a, at, j, cols, m.row_vals(j),
+                      scratch[static_cast<std::size_t>(slot)]);
   });
   return m;
 }

@@ -4,9 +4,13 @@
 // on for SPD systems — M is not symmetric in general, so the CG-compatible
 // application symmetrizes it as (M + M^T)/2, which loses the SPD guarantee
 // FSAI's G^T G form keeps (one of the reasons the paper uses FSAI).
+//
+// Each column's Gram matrix and rhs are assembled by scatter-streaming the
+// CSR rows (no per-entry binary searches). This is the only assembly in the
+// library; the historic merge-join + at() assembly lives on as a test oracle
+// (tests/core/gram_reference.hpp), and the two produce bit-identical columns.
 #pragma once
 
-#include "core/fsai.hpp"
 #include "solver/preconditioner.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/pattern.hpp"
@@ -14,10 +18,6 @@
 namespace fsaic {
 
 struct SpaiComputeOptions {
-  /// Gather: scatter-stream Gram/rhs assembly (one pass over the CSR rows,
-  /// no per-entry binary searches). Reference: the historic merge-join +
-  /// at() path. Both produce bit-identical columns.
-  GramAssembly assembly = GramAssembly::Gather;
   /// Column-loop engine (null -> the process-wide default executor).
   Executor* exec = nullptr;
 };

@@ -138,7 +138,6 @@ const RunRecord& ExperimentRunner::run(const SuiteEntry& entry,
   const FsaiFactorStats& prov = build.provisional_factor_stats;
   const FsaiFactorStats& fin = build.factor_stats;
   rec->setup_rows_solved = prov.rows_solved + fin.rows_solved;
-  rec->setup_rows_reused = fin.rows_reused;
   rec->setup_gram_entries = prov.gram_entries_gathered + fin.gram_entries_gathered;
   rec->provisional_fallback_rows = prov.fallback_rows;
   rec->provisional_degenerate_rows = prov.degenerate_rows;
@@ -152,7 +151,6 @@ const RunRecord& ExperimentRunner::run(const SuiteEntry& entry,
     record_comm_stats(*metrics_, "solve", solve.comm);
     record_comm_stats(*metrics_, "setup", build.setup_comm);
     metrics_->add("setup.rows_solved", rec->setup_rows_solved);
-    metrics_->add("setup.rows_reused", rec->setup_rows_reused);
     metrics_->add("setup.gram_entries_gathered", rec->setup_gram_entries);
     metrics_->set("run.precond_gflops", rec->precond_gflops);
     metrics_->set("run.x_misses_per_gnnz", rec->x_misses_per_gnnz);
@@ -193,7 +191,6 @@ JsonValue run_record_to_json(const RunRecord& rec) {
   out["setup_seconds"] = rec.setup_seconds;
   out["solve_seconds"] = rec.solve_seconds;
   out["setup_rows_solved"] = rec.setup_rows_solved;
-  out["setup_rows_reused"] = rec.setup_rows_reused;
   out["setup_gram_entries"] = rec.setup_gram_entries;
   out["provisional_fallback_rows"] = rec.provisional_fallback_rows;
   out["provisional_degenerate_rows"] = rec.provisional_degenerate_rows;
@@ -230,7 +227,6 @@ RunRecord run_record_from_json(const JsonValue& json) {
   rec.setup_seconds = json.at("setup_seconds").as_double();
   rec.solve_seconds = json.at("solve_seconds").as_double();
   rec.setup_rows_solved = json.at("setup_rows_solved").as_int();
-  rec.setup_rows_reused = json.at("setup_rows_reused").as_int();
   rec.setup_gram_entries = json.at("setup_gram_entries").as_int();
   rec.provisional_fallback_rows = json.at("provisional_fallback_rows").as_int();
   rec.provisional_degenerate_rows = json.at("provisional_degenerate_rows").as_int();

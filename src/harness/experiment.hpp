@@ -77,11 +77,9 @@ struct RunRecord {
   double setup_seconds = 0.0;
   double solve_seconds = 0.0;
 
-  /// Setup accounting: row systems actually solved (provisional + final),
-  /// final rows copied verbatim from the provisional factor, and matrix
+  /// Setup accounting: row systems solved (provisional + final) and matrix
   /// entries scattered by the gather assembly.
   std::int64_t setup_rows_solved = 0;
-  std::int64_t setup_rows_reused = 0;
   std::int64_t setup_gram_entries = 0;
   std::int64_t provisional_fallback_rows = 0;
   std::int64_t provisional_degenerate_rows = 0;

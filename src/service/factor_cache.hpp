@@ -1,16 +1,15 @@
 // Two-tier (RAM LRU + optional disk store) cache of built FSAI factors,
 // keyed by matrix content.
 //
-// Setup is the expensive phase of the FSAI family (see bench/amortization
-// and bench/setup_speed); a serving workload that sees the same operator
-// for many right-hand sides should pay it once — across requests *and*
-// across process restarts. The key combines the matrix fingerprint (dims +
-// nnz + content hash of the partition-permuted system) with a
-// build-configuration string (method, filter, strategy, rank count), so
-// same-shape matrices with different values, or the same matrix built with
-// different options, occupy distinct slots. Entries are shared_ptr so an
-// evicted factor stays alive while an in-flight batch is still solving
-// with it.
+// Setup is the expensive phase of the FSAI family (see bench/amortization);
+// a serving workload that sees the same operator for many right-hand sides
+// should pay it once — across requests *and* across process restarts. The
+// key combines the matrix fingerprint (dims + nnz + content hash of the
+// partition-permuted system) with a build-configuration string (method,
+// filter, strategy, rank count), so same-shape matrices with different
+// values, or the same matrix built with different options, occupy distinct
+// slots. Entries are shared_ptr so an evicted factor stays alive while an
+// in-flight batch is still solving with it.
 //
 // Disk tier (enabled by a non-empty `store_dir`): every insert is persisted
 // write-through as a fingerprint-addressed factor_io V2 file

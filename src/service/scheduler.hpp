@@ -1,13 +1,18 @@
-// Sharded, SLO-aware work queue: the dispatch layer of the solve service.
+// Sharded, SLO-aware work queue: the admission boundary and dispatch layer
+// of the solve service.
 //
-// RequestQueue (request_queue.hpp) is a plain FIFO; under mixed traffic that
-// makes multi-RHS batching accidental — two same-operator requests coalesce
-// only when they happen to sit adjacent in the queue when a worker arrives.
-// ShardedScheduler makes it systematic: every item carries a shard id (the
-// service uses `hash(batch_key) % workers`), each worker pops from its own
-// lane first, and only steals from other lanes when its own is empty. Same-
-// operator requests therefore land on the same worker, which batches them
-// together and keeps that worker's slice of the factor cache hot.
+// Backpressure: the scheduler holds at most `capacity` items across all
+// lanes. try_push never blocks; it fails at once when the scheduler is full
+// or closed, and the service turns that failure into a reject-with-reason
+// response. Workers block in pop until an item arrives or the scheduler is
+// closed; after close, queued items still drain, then pop returns empty.
+//
+// Sharding makes multi-RHS batching systematic: every item carries a shard
+// id (the service uses `hash(batch_key) % workers`), each worker pops from
+// its own lane first, and only steals from other lanes when its own is
+// empty. Same-operator requests therefore land on the same worker, which
+// batches them together and keeps that worker's slice of the factor cache
+// hot.
 //
 // Within a lane, dequeue order is not FIFO but SLO-aware:
 //   1. higher `priority` first (priority lanes),
@@ -38,8 +43,8 @@ namespace fsaic {
 template <typename T, typename Traits>
 class ShardedScheduler {
  public:
-  /// `capacity` bounds the total item count across all lanes (the admission
-  /// backpressure contract of RequestQueue, unchanged). `shards` >= 1.
+  /// `capacity` bounds the total item count across all lanes. `shards` >= 1
+  /// (0 is treated as 1).
   ShardedScheduler(std::size_t capacity, std::size_t shards)
       : capacity_(capacity), lanes_(shards == 0 ? 1 : shards) {}
 

@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "dist/comm_scheme.hpp"
+#include "gram_reference.hpp"
 #include "matgen/generators.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/ops.hpp"
@@ -207,10 +208,9 @@ void expect_same_factor(const CsrMatrix& x, const CsrMatrix& y) {
   }
 }
 
-class DriverIncrementalProperty
-    : public ::testing::TestWithParam<FilterStrategy> {};
+class DriverFilterProperty : public ::testing::TestWithParam<FilterStrategy> {};
 
-TEST_P(DriverIncrementalProperty, IncrementalRefactorIsBitIdentical) {
+TEST_P(DriverFilterProperty, FilteredBuildMatchesEntrywiseOracle) {
   const auto a = poisson2d(20, 20);
   const Layout l = Layout::blocked(a.rows(), 4);
   FsaiOptions opts;
@@ -218,25 +218,17 @@ TEST_P(DriverIncrementalProperty, IncrementalRefactorIsBitIdentical) {
   opts.cache_line_bytes = 256;
   opts.filter = 0.05;
   opts.filter_strategy = GetParam();
+  const auto build = build_fsai_preconditioner(a, l, opts);
 
-  opts.incremental_refactor = false;
-  const auto full = build_fsai_preconditioner(a, l, opts);
-  opts.incremental_refactor = true;
-  const auto incr = build_fsai_preconditioner(a, l, opts);
-
-  expect_same_factor(full.g, incr.g);
-  // Filtering removed entries, so some rows shrank (re-solved) and some
-  // survived untouched (reused) — and every row is accounted for.
-  ASSERT_LT(incr.final_pattern.nnz(), incr.extended_pattern.nnz());
-  EXPECT_GT(incr.factor_stats.rows_reused, 0);
-  EXPECT_EQ(incr.factor_stats.rows_solved + incr.factor_stats.rows_reused,
-            a.rows());
-  // The full recompute solves everything and reuses nothing.
-  EXPECT_EQ(full.factor_stats.rows_reused, 0);
-  EXPECT_EQ(full.factor_stats.rows_solved, a.rows());
+  // Filtering removed entries, and step 5 re-solved every row on what
+  // survived.
+  ASSERT_LT(build.final_pattern.nnz(), build.extended_pattern.nnz());
+  EXPECT_EQ(build.factor_stats.rows_solved, a.rows());
+  expect_same_factor(oracle::reference_fsai_factor(a, build.final_pattern),
+                     build.g);
 }
 
-INSTANTIATE_TEST_SUITE_P(Strategies, DriverIncrementalProperty,
+INSTANTIATE_TEST_SUITE_P(Strategies, DriverFilterProperty,
                          ::testing::Values(FilterStrategy::Static,
                                            FilterStrategy::Dynamic));
 
@@ -252,30 +244,13 @@ TEST(DriverTest, ProvisionalStatsAreKeptSeparateFromFinalStats) {
   // Step 4 solved every row of the extended pattern; step 5's stats no
   // longer overwrite that record.
   EXPECT_EQ(build.provisional_factor_stats.rows_solved, a.rows());
-  EXPECT_EQ(build.provisional_factor_stats.rows_reused, 0);
-  EXPECT_EQ(build.factor_stats.rows_solved + build.factor_stats.rows_reused,
-            a.rows());
+  EXPECT_EQ(build.factor_stats.rows_solved, a.rows());
 
   // Without filtering there is no provisional factorization at all.
   FsaiOptions plain;
   const auto base = build_fsai_preconditioner(a, l, plain);
   EXPECT_EQ(base.provisional_factor_stats.rows_solved, 0);
   EXPECT_EQ(base.factor_stats.rows_solved, a.rows());
-}
-
-TEST(DriverTest, ReferenceAssemblyBuildMatchesGatherBuild) {
-  const auto a = poisson2d(14, 14);
-  const Layout l = Layout::blocked(a.rows(), 4);
-  FsaiOptions opts;
-  opts.extension = ExtensionMode::CommAware;
-  opts.cache_line_bytes = 256;
-  opts.filter = 0.05;
-
-  opts.assembly = GramAssembly::Gather;
-  const auto gather = build_fsai_preconditioner(a, l, opts);
-  opts.assembly = GramAssembly::Reference;
-  const auto ref = build_fsai_preconditioner(a, l, opts);
-  expect_same_factor(ref.g, gather.g);
 }
 
 class DriverModeProperty : public ::testing::TestWithParam<ExtensionMode> {};

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gram_reference.hpp"
 #include "matgen/generators.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/ops.hpp"
@@ -114,7 +115,7 @@ TEST(FsaiTest, DegenerateRowFallsBackToJacobiScaling) {
 }
 
 /// EXPECT_EQ on every stored value: the gather assembly must be bit-identical
-/// to the reference path, not merely close.
+/// to the entrywise oracle, not merely close.
 void expect_factors_bit_identical(const CsrMatrix& ref, const CsrMatrix& test) {
   ASSERT_EQ(ref.rows(), test.rows());
   ASSERT_EQ(ref.nnz(), test.nnz());
@@ -137,10 +138,8 @@ TEST(FsaiGatherTest, BitIdenticalToReferenceAcrossPatternLevels) {
     const auto s = fsai_base_pattern(a, level, 0.0);
     FsaiFactorStats ref_stats;
     FsaiFactorStats gather_stats;
-    const auto g_ref = compute_fsai_factor(
-        a, s, &ref_stats, {.assembly = GramAssembly::Reference});
-    const auto g_gather = compute_fsai_factor(
-        a, s, &gather_stats, {.assembly = GramAssembly::Gather});
+    const auto g_ref = oracle::reference_fsai_factor(a, s, &ref_stats);
+    const auto g_gather = compute_fsai_factor(a, s, &gather_stats);
     expect_factors_bit_identical(g_ref, g_gather);
     EXPECT_EQ(ref_stats.fallback_rows, gather_stats.fallback_rows);
     EXPECT_EQ(ref_stats.degenerate_rows, gather_stats.degenerate_rows);
@@ -150,22 +149,16 @@ TEST(FsaiGatherTest, BitIdenticalToReferenceAcrossPatternLevels) {
 TEST(FsaiGatherTest, BitIdenticalToReferenceOn3dStencil) {
   const auto a = stencil27(5, 5, 5);
   const auto s = fsai_base_pattern(a, 2, 0.0);
-  const auto g_ref = compute_fsai_factor(
-      a, s, nullptr, {.assembly = GramAssembly::Reference});
-  const auto g_gather = compute_fsai_factor(
-      a, s, nullptr, {.assembly = GramAssembly::Gather});
-  expect_factors_bit_identical(g_ref, g_gather);
+  expect_factors_bit_identical(oracle::reference_fsai_factor(a, s),
+                               compute_fsai_factor(a, s));
 }
 
 TEST(FsaiGatherTest, BitIdenticalToReferenceOnRandomSpd) {
   for (const std::uint64_t seed : {1u, 7u, 21u}) {
     const auto a = random_spd(40, 5, seed);
     const auto s = fsai_base_pattern(a, 2, 0.0);
-    const auto g_ref = compute_fsai_factor(
-        a, s, nullptr, {.assembly = GramAssembly::Reference});
-    const auto g_gather = compute_fsai_factor(
-        a, s, nullptr, {.assembly = GramAssembly::Gather});
-    expect_factors_bit_identical(g_ref, g_gather);
+    expect_factors_bit_identical(oracle::reference_fsai_factor(a, s),
+                                 compute_fsai_factor(a, s));
   }
 }
 
@@ -180,10 +173,8 @@ TEST(FsaiGatherTest, BitIdenticalOnDegenerateJacobiFallback) {
   const auto a = b.to_csr();
   FsaiFactorStats ref_stats;
   FsaiFactorStats gather_stats;
-  const auto g_ref = compute_fsai_factor(
-      a, full_lower(2), &ref_stats, {.assembly = GramAssembly::Reference});
-  const auto g_gather = compute_fsai_factor(
-      a, full_lower(2), &gather_stats, {.assembly = GramAssembly::Gather});
+  const auto g_ref = oracle::reference_fsai_factor(a, full_lower(2), &ref_stats);
+  const auto g_gather = compute_fsai_factor(a, full_lower(2), &gather_stats);
   expect_factors_bit_identical(g_ref, g_gather);
   EXPECT_EQ(gather_stats.degenerate_rows, 1);
   // Same solve outcomes; only the gather counter differs by construction.
@@ -196,39 +187,9 @@ TEST(FsaiGatherTest, StatsAccountRowsAndGatheredEntries) {
   const auto a = poisson2d(8, 8);
   const auto s = fsai_base_pattern(a, 2, 0.0);
   FsaiFactorStats stats;
-  (void)compute_fsai_factor(a, s, &stats, {.assembly = GramAssembly::Gather});
+  (void)compute_fsai_factor(a, s, &stats);
   EXPECT_EQ(stats.rows_solved, a.rows());
-  EXPECT_EQ(stats.rows_reused, 0);
   EXPECT_GT(stats.gram_entries_gathered, 0);
-  // The reference path performs no gathers.
-  FsaiFactorStats ref_stats;
-  (void)compute_fsai_factor(a, s, &ref_stats,
-                            {.assembly = GramAssembly::Reference});
-  EXPECT_EQ(ref_stats.gram_entries_gathered, 0);
-}
-
-TEST(FsaiRefineTest, RefineEqualsFullRecomputeAndReusesUnchangedRows) {
-  const auto a = poisson2d(10, 10);
-  const auto s_ext = fsai_base_pattern(a, 2, 0.0);
-  const auto s_final = fsai_base_pattern(a, 1, 0.0);  // strict subset pattern
-  const auto g_pre = compute_fsai_factor(a, s_ext);
-  FsaiFactorStats stats;
-  const auto g_refined = refine_fsai_factor(a, g_pre, s_final, &stats);
-  const auto g_full = compute_fsai_factor(a, s_final);
-  expect_factors_bit_identical(g_full, g_refined);
-  // Every final row either got reused or re-solved.
-  EXPECT_EQ(stats.rows_solved + stats.rows_reused, a.rows());
-}
-
-TEST(FsaiRefineTest, IdenticalPatternReusesEveryRow) {
-  const auto a = poisson2d(6, 6);
-  const auto s = fsai_base_pattern(a, 1, 0.0);
-  const auto g_pre = compute_fsai_factor(a, s);
-  FsaiFactorStats stats;
-  const auto g = refine_fsai_factor(a, g_pre, s, &stats);
-  expect_factors_bit_identical(g_pre, g);
-  EXPECT_EQ(stats.rows_reused, a.rows());
-  EXPECT_EQ(stats.rows_solved, 0);
 }
 
 class FsaiSpdProperty : public ::testing::TestWithParam<std::uint64_t> {};

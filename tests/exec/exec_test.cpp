@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "../core/gram_reference.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/fsai_driver.hpp"
@@ -245,28 +246,23 @@ TEST(ExecSetupTest, FilteredBuildIsBitIdenticalAcrossExecutors) {
     fopts.exec = &thr;
     const auto build_thr = build_fsai_preconditioner(a, layout, fopts);
     expect_same_factor_bits(build_seq.g, build_thr.g);
-    // The incremental row accounting is schedule-independent too.
+    // The row accounting is schedule-independent too.
     EXPECT_EQ(build_seq.factor_stats.rows_solved,
               build_thr.factor_stats.rows_solved);
-    EXPECT_EQ(build_seq.factor_stats.rows_reused,
-              build_thr.factor_stats.rows_reused);
     EXPECT_EQ(build_seq.provisional_factor_stats.rows_solved,
               build_thr.provisional_factor_stats.rows_solved);
   }
 }
 
-TEST(ExecSetupTest, SpaiIsBitIdenticalAcrossExecutorsAndAssemblies) {
+TEST(ExecSetupTest, SpaiIsBitIdenticalAcrossExecutorsAndToTheOracle) {
   const auto a = poisson2d(10, 10);
   const auto s = a.pattern();
 
   SpaiComputeOptions opts;
   SeqExecutor seq;
   opts.exec = &seq;
-  opts.assembly = GramAssembly::Reference;
-  const auto m_ref = compute_spai(a, s, opts);
-  opts.assembly = GramAssembly::Gather;
   const auto m_seq = compute_spai(a, s, opts);
-  expect_same_factor_bits(m_ref, m_seq);
+  expect_same_factor_bits(oracle::reference_spai(a, s), m_seq);
 
   ThreadedExecutor thr(3);
   opts.exec = &thr;

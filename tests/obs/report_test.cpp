@@ -123,7 +123,6 @@ TEST(ReportTest, RunRecordRoundTripsThroughJsonl) {
   rec.setup_seconds = 0.03125;
   rec.solve_seconds = 0.015625;
   rec.setup_rows_solved = 6144;
-  rec.setup_rows_reused = 2048;
   rec.setup_gram_entries = (std::int64_t{1} << 40) + 3;
   rec.provisional_fallback_rows = 2;
   rec.provisional_degenerate_rows = 1;
@@ -166,7 +165,6 @@ TEST(ReportTest, RunRecordRoundTripsThroughJsonl) {
   EXPECT_DOUBLE_EQ(back.setup_seconds, rec.setup_seconds);
   EXPECT_DOUBLE_EQ(back.solve_seconds, rec.solve_seconds);
   EXPECT_EQ(back.setup_rows_solved, rec.setup_rows_solved);
-  EXPECT_EQ(back.setup_rows_reused, rec.setup_rows_reused);
   EXPECT_EQ(back.setup_gram_entries, rec.setup_gram_entries);
   EXPECT_EQ(back.provisional_fallback_rows, rec.provisional_fallback_rows);
   EXPECT_EQ(back.provisional_degenerate_rows, rec.provisional_degenerate_rows);

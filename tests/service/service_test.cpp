@@ -15,45 +15,12 @@
 #include "common/rng.hpp"
 #include "matgen/generators.hpp"
 #include "obs/report.hpp"
-#include "service/request_queue.hpp"
 #include "sparse/mm_io.hpp"
 
 namespace fsaic {
 namespace {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------- queue --
-
-TEST(RequestQueueTest, RejectsWhenFull) {
-  RequestQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3)) << "bounded queue must reject at capacity";
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(RequestQueueTest, PopDrainsInOrderThenBlocksUntilClose) {
-  RequestQueue<int> q(4);
-  q.try_push(1);
-  q.try_push(2);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  q.close();
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_FALSE(q.try_push(9)) << "closed queue rejects pushes";
-}
-
-TEST(RequestQueueTest, DrainIfTakesOnlyMatchesAndPreservesOrder) {
-  RequestQueue<int> q(8);
-  for (int i = 1; i <= 6; ++i) q.try_push(i);
-  const auto evens = q.drain_if([](int i) { return i % 2 == 0; });
-  EXPECT_EQ(evens, (std::vector<int>{2, 4, 6}));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), 5);
-}
 
 // ------------------------------------------------------------- protocol --
 

@@ -485,8 +485,6 @@ int cmd_solve(const Args& args) {
       setup_json["rows_solved"] =
           static_cast<std::int64_t>(build.provisional_factor_stats.rows_solved) +
           static_cast<std::int64_t>(build.factor_stats.rows_solved);
-      setup_json["rows_reused"] =
-          static_cast<std::int64_t>(build.factor_stats.rows_reused);
       setup_json["gram_entries_gathered"] =
           build.provisional_factor_stats.gram_entries_gathered +
           build.factor_stats.gram_entries_gathered;
