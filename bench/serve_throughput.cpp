@@ -193,8 +193,11 @@ int main() {
   std::map<std::string, std::int64_t> mix_counts;
   for (std::int64_t i = 0; i < n_requests; ++i) {
     SolveRequest req;
-    req.id = "r";
-    req.id += std::to_string(i + 1);
+    // A fresh string: assigning "r" into req.id trips GCC 12's false
+    // -Wrestrict overlap report.
+    std::string id = "r";
+    id += std::to_string(i + 1);
+    req.id = std::move(id);
     double pick = rng.next_uniform() * mix_total;
     req.generate = mix.back().op;
     for (const auto& m : mix) {

@@ -1,7 +1,7 @@
 // Solve a user-supplied SuiteSparse / MatrixMarket SPD system with the
 // FSAIE-Comm preconditioned CG — the real-world entry point of the library.
 //
-//   build/examples/mm_solver <matrix.mtx> [ranks = 8] [filter = 0.01] \
+//   build/examples/mm_solver <matrix.mtx> [ranks = 8] [filter = 0.01]
 //                            [machine = skylake]
 //
 // The right-hand side is random, normalized to the matrix max norm, and the

@@ -149,17 +149,20 @@ FilterOutcome dynamic_filter(const CsrMatrix& g_ext, const SparsityPattern& base
 }
 
 double imbalance_index(std::span<const offset_t> rank_entries) {
-  if (rank_entries.empty()) return 1.0;
   offset_t total = 0;
   offset_t maxval = 0;
   for (offset_t c : rank_entries) {
     total += c;
     maxval = std::max(maxval, c);
   }
-  if (maxval == 0) return 1.0;
-  const double avg =
-      static_cast<double>(total) / static_cast<double>(rank_entries.size());
-  return avg / static_cast<double>(maxval);
+  return imbalance_index(total, maxval,
+                         static_cast<rank_t>(rank_entries.size()));
+}
+
+double imbalance_index(offset_t total, offset_t max_rank, rank_t nranks) {
+  if (nranks == 0 || max_rank == 0) return 1.0;
+  const double avg = static_cast<double>(total) / static_cast<double>(nranks);
+  return avg / static_cast<double>(max_rank);
 }
 
 std::vector<offset_t> rank_entry_counts(const SparsityPattern& p,

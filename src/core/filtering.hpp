@@ -67,6 +67,11 @@ struct FilterOutcome {
 /// maximum process entries (1 = balanced, smaller = worse).
 [[nodiscard]] double imbalance_index(std::span<const offset_t> rank_entries);
 
+/// The same index from its two aggregates: `total` entries over `nranks`
+/// ranks, at most `max_rank` on one (e.g. DistCsr::nnz / max_rank_nnz).
+[[nodiscard]] double imbalance_index(offset_t total, offset_t max_rank,
+                                     rank_t nranks);
+
 /// Per-rank entry counts of a row-distributed pattern.
 [[nodiscard]] std::vector<offset_t> rank_entry_counts(const SparsityPattern& p,
                                                       const Layout& layout);

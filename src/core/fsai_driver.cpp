@@ -80,11 +80,12 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
     result.g_dist = DistCsr::distribute(result.g, layout);
     result.gt_dist = DistCsr::distribute(transpose(result.g), layout);
   }
-  const auto g_counts = rank_entry_counts(result.final_pattern, layout);
-  const auto gt_counts =
-      rank_entry_counts(result.final_pattern.transposed(), layout);
-  result.imbalance_g = imbalance_index(g_counts);
-  result.imbalance_gt = imbalance_index(gt_counts);
+  // Each rank block holds exactly its rows' entries, so the distributed
+  // factors' counts are the per-rank pattern counts.
+  result.imbalance_g = imbalance_index(
+      result.g_dist.nnz(), result.g_dist.max_rank_nnz(), layout.nranks());
+  result.imbalance_gt = imbalance_index(
+      result.gt_dist.nnz(), result.gt_dist.max_rank_nnz(), layout.nranks());
   return result;
 }
 

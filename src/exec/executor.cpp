@@ -96,7 +96,12 @@ AsyncAllreduce SeqExecutor::allreduce_begin(std::vector<value_t> partials,
 void SeqExecutor::parallel_for(index_t n,
                                const std::function<void(index_t, int)>& f) {
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
+  // The threaded executor's chunking: ~4 claims per thread, capped at 64
+  // items, so loops over few coarse items (the FSAI row blocks) still
+  // spread over the whole team.
+  const auto nt = static_cast<index_t>(omp_get_max_threads());
+  const index_t chunk = std::clamp<index_t>((n + 4 * nt - 1) / (4 * nt), 1, 64);
+#pragma omp parallel for schedule(dynamic, chunk)
   for (index_t i = 0; i < n; ++i) {
     f(i, omp_get_thread_num());
   }

@@ -31,7 +31,9 @@ struct TraceEvent {
   std::uint32_t tid = 0;
   /// Optional pre-rendered JSON object emitted as the event's "args" (e.g.
   /// {"rid":42} on the service's per-request slices); empty = no args.
-  std::string args;
+  /// (The `{}` lets designated initializers omit it under GCC 12's
+  /// -Wmissing-field-initializers, as with every defaulted member.)
+  std::string args{};
 };
 
 class TraceRecorder {

@@ -28,7 +28,8 @@ struct CostModelOptions {
   /// on-node edges are charged at the machine's intra-node alpha/beta; in
   /// node-aware mode cross-node edges additionally share one network
   /// latency per distinct peer node (the leader-aggregated coalescing).
-  CommConfig comm;
+  /// (`{}` so designated initializers may omit it, as in trace.hpp.)
+  CommConfig comm{};
 };
 
 /// Cost of one distributed operation, split by source.

@@ -79,7 +79,8 @@ struct ServiceOptions {
   /// Directory of the on-disk factor store (empty = RAM-only cache).
   /// Factors are persisted write-through and reloaded transparently on RAM
   /// misses, so a restarted service reuses the previous process's setups.
-  std::string store_dir;
+  /// (`{}` so designated initializers may omit it, as in trace.hpp.)
+  std::string store_dir{};
   /// Total bytes the disk store may occupy (0 = unlimited). When a persist
   /// pushes the store past the cap, the least-recently-accessed factor
   /// files are deleted until it fits (see factor_cache.hpp).

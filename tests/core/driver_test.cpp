@@ -152,6 +152,30 @@ TEST(DriverTest, GtDistIsTransposeOfGDist) {
   }
 }
 
+TEST(DriverTest, ImbalanceFromDistributedFactorsMatchesPatternCounts) {
+  // The build reads both imbalance indices off the distributed factors;
+  // they must equal the per-rank counts of the final pattern and of its
+  // transpose, on even and uneven layouts, filtered or not.
+  const auto a = poisson2d(14, 14);
+  const index_t sizes[] = {20, 70, 41, 65};
+  for (const Layout& l : {Layout::blocked(a.rows(), 4),
+                          Layout::from_part_sizes(sizes)}) {
+    for (const value_t filter : {0.0, 0.05}) {
+      FsaiOptions opts;
+      opts.extension = ExtensionMode::CommAware;
+      opts.cache_line_bytes = 256;
+      opts.filter = filter;
+      const auto build = build_fsai_preconditioner(a, l, opts);
+      EXPECT_EQ(build.imbalance_g,
+                imbalance_index(rank_entry_counts(build.final_pattern, l)));
+      EXPECT_EQ(build.imbalance_gt,
+                imbalance_index(
+                    rank_entry_counts(build.final_pattern.transposed(), l)));
+      EXPECT_LT(build.imbalance_gt, 1.0);
+    }
+  }
+}
+
 TEST(DriverTest, PartitionSystemProducesContiguousBalancedLayout) {
   const auto a = poisson2d(20, 20);
   const auto sys = partition_system(a, 5);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.hpp"
 #include "gram_reference.hpp"
 #include "matgen/generators.hpp"
 #include "sparse/coo.hpp"
@@ -190,6 +191,90 @@ TEST(FsaiGatherTest, StatsAccountRowsAndGatheredEntries) {
   (void)compute_fsai_factor(a, s, &stats);
   EXPECT_EQ(stats.rows_solved, a.rows());
   EXPECT_GT(stats.gram_entries_gathered, 0);
+}
+
+/// SPD band matrix of half-bandwidth `band`: random off-diagonal entries in
+/// (-1, 1) under a dominant diagonal, so every band pattern row's system is
+/// dense and its Cholesky chains long.
+CsrMatrix random_band_spd(index_t n, index_t band, std::uint64_t seed) {
+  Rng rng(seed);
+  CooBuilder b(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    b.add(i, i, 2.0 * static_cast<value_t>(band) + rng.next_uniform());
+    for (index_t j = std::max<index_t>(0, i - band + 1); j < i; ++j) {
+      b.add_symmetric(i, j, rng.next_uniform(-1.0, 1.0));
+    }
+  }
+  return b.to_csr();
+}
+
+TEST(FsaiLaneTest, MixedRowLengthsMatchTheOracleBitForBit) {
+  // Rows of every length 1..40, each length appearing 1, 2, 3, 5, 6 or 7
+  // times (never a multiple of the lane count) in a shuffled order: the row
+  // loop solves the full lane groups batched and the rest one by one. Rows
+  // 0..39 are full lower rows; the rest are bands ending at the diagonal.
+  constexpr index_t kMaxLen = 40;
+  const index_t counts[] = {1, 2, 3, 5, 6, 7};
+  std::vector<index_t> extra_lengths;
+  for (index_t len = 1; len <= kMaxLen; ++len) {
+    for (index_t c = 1; c < counts[len % 6]; ++c) extra_lengths.push_back(len);
+  }
+  Rng rng(2024);
+  for (std::size_t k = extra_lengths.size(); k > 1; --k) {
+    std::swap(extra_lengths[k - 1],
+              extra_lengths[static_cast<std::size_t>(
+                  rng.next_index(static_cast<index_t>(k)))]);
+  }
+  const index_t n = kMaxLen + static_cast<index_t>(extra_lengths.size());
+  std::vector<std::vector<index_t>> rows(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    const index_t len =
+        i < kMaxLen ? i + 1 : extra_lengths[static_cast<std::size_t>(i - kMaxLen)];
+    for (index_t j = i - len + 1; j <= i; ++j) {
+      rows[static_cast<std::size_t>(i)].push_back(j);
+    }
+  }
+  const auto s = SparsityPattern::from_rows(n, n, std::move(rows));
+  const auto a = random_band_spd(n, kMaxLen, 5);
+
+  FsaiFactorStats ref_stats;
+  FsaiFactorStats stats;
+  const auto g_ref = oracle::reference_fsai_factor(a, s, &ref_stats);
+  const auto g = compute_fsai_factor(a, s, &stats);
+  expect_factors_bit_identical(g_ref, g);
+  ref_stats.gram_entries_gathered = oracle::reference_gathered_entries(a, s);
+  EXPECT_EQ(stats, ref_stats);
+  EXPECT_EQ(stats.rows_solved, n);
+}
+
+TEST(FsaiLaneTest, PivotFailureGroupTakesTheScalarChainAndAccounting) {
+  // Four 2x2 diagonal blocks. The four length-2 rows (1, 3, 5, 7) form one
+  // lane group, as do the four length-1 rows (0, 2, 4, 6). Block 1
+  // [[-1,1],[1,1]] fails Cholesky at its first pivot: row 3 falls back to
+  // LDL^T and is solved, row 2 falls back and degrades (ghat_22 < 0).
+  // Block 2 [[1,1],[1,1]] is singular: row 5 fails its second pivot and
+  // every fallback, degrading to Jacobi scaling.
+  CooBuilder b(8, 8);
+  const value_t blocks[4][3] = {
+      {4.0, 1.0, 3.0}, {-1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}, {5.0, 2.0, 6.0}};
+  for (index_t k = 0; k < 4; ++k) {
+    b.add(2 * k, 2 * k, blocks[k][0]);
+    b.add_symmetric(2 * k + 1, 2 * k, blocks[k][1]);
+    b.add(2 * k + 1, 2 * k + 1, blocks[k][2]);
+  }
+  const auto a = b.to_csr();
+  const auto s = a.pattern().lower_triangle();
+
+  FsaiFactorStats ref_stats;
+  FsaiFactorStats stats;
+  const auto g_ref = oracle::reference_fsai_factor(a, s, &ref_stats);
+  const auto g = compute_fsai_factor(a, s, &stats);
+  expect_factors_bit_identical(g_ref, g);
+  ref_stats.gram_entries_gathered = oracle::reference_gathered_entries(a, s);
+  EXPECT_EQ(stats, ref_stats);
+  EXPECT_EQ(stats.rows_solved, 8);
+  EXPECT_EQ(stats.fallback_rows, 3);
+  EXPECT_EQ(stats.degenerate_rows, 2);
 }
 
 class FsaiSpdProperty : public ::testing::TestWithParam<std::uint64_t> {};

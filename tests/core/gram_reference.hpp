@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -81,6 +82,35 @@ inline CsrMatrix reference_fsai_factor(const CsrMatrix& a,
   }
   if (stats != nullptr) *stats = st;
   return g;
+}
+
+/// The gram_entries_gathered count of the library's FSAI assembly: the
+/// stored entries of A in the lower triangle of every row system, plus the
+/// whole system for rows whose Cholesky fails (the fallback re-gathers both
+/// triangles).
+inline std::int64_t reference_gathered_entries(const CsrMatrix& a,
+                                               const SparsityPattern& s) {
+  std::int64_t gathered = 0;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto cols = s.row(i);
+    const auto m = static_cast<index_t>(cols.size());
+    DenseMatrix local(m, m);
+    std::int64_t lower = 0;
+    std::int64_t full = 0;
+    for (index_t r = 0; r < m; ++r) {
+      for (index_t c = 0; c < m; ++c) {
+        const index_t u = cols[static_cast<std::size_t>(r)];
+        const index_t v = cols[static_cast<std::size_t>(c)];
+        local(r, c) = a.at(u, v);
+        if (!a.pattern().contains(u, v)) continue;
+        ++full;
+        if (c <= r) ++lower;
+      }
+    }
+    gathered += lower;
+    if (!cholesky_factor(local)) gathered += full;
+  }
+  return gathered;
 }
 
 /// M on pattern `s`, column j minimizing ||e_j - A m_j||_2 over the columns

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -120,6 +121,82 @@ TEST(SolveSpdTest, FallsBackAndSolves) {
   std::vector<value_t> b{1.0, 0.0};
   ASSERT_TRUE(solve_spd_system(std::move(a), b));
   EXPECT_NEAR(residual_inf(a_copy, b, std::vector<value_t>{1.0, 0.0}), 0.0, 1e-12);
+}
+
+TEST(CholeskyLastUnitTest, MatchesCholeskySolveOnLastUnitVectorBitForBit) {
+  for (const index_t n : {1, 2, 5, 21, 40}) {
+    DenseMatrix f = random_spd_dense(n, 900 + static_cast<std::uint64_t>(n));
+    ASSERT_TRUE(cholesky_factor(f));
+    std::vector<value_t> b(static_cast<std::size_t>(n), 0.0);
+    b.back() = 1.0;
+    cholesky_solve(f, b);
+    // Stale contents must be overwritten, not accumulated.
+    std::vector<value_t> x(static_cast<std::size_t>(n), 7.0);
+    cholesky_solve_last_unit(f, x);
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      EXPECT_EQ(b[k], x[k]) << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+/// kCholeskyLanes different SPD systems of size n, interleaved in the lane
+/// layout with NaN in every upper-triangle slot (the kernels must not read
+/// it), and the systems themselves.
+std::vector<value_t> pack_lanes(index_t n, std::uint64_t seed,
+                                std::vector<DenseMatrix>& systems) {
+  const auto nn = static_cast<std::size_t>(n);
+  std::vector<value_t> pack(nn * nn * kCholeskyLanes);
+  systems.clear();
+  for (int l = 0; l < kCholeskyLanes; ++l) {
+    systems.push_back(random_spd_dense(n, seed + static_cast<std::uint64_t>(l)));
+    for (std::size_t c = 0; c < nn; ++c) {
+      for (std::size_t r = 0; r < nn; ++r) {
+        pack[(c * nn + r) * kCholeskyLanes + static_cast<std::size_t>(l)] =
+            r >= c ? systems.back()(static_cast<index_t>(r), static_cast<index_t>(c))
+                   : std::nan("");
+      }
+    }
+  }
+  return pack;
+}
+
+TEST(CholeskyLanesTest, EveryLaneMatchesTheScalarKernelsBitForBit) {
+  for (const index_t n : {1, 3, 21, 40}) {
+    std::vector<DenseMatrix> systems;
+    auto pack = pack_lanes(n, 1000 + static_cast<std::uint64_t>(n), systems);
+    ASSERT_TRUE(cholesky_factor_lanes(pack, n));
+    const auto nn = static_cast<std::size_t>(n);
+    std::vector<value_t> x(nn * kCholeskyLanes);
+    cholesky_solve_last_unit_lanes(pack, n, x);
+    for (int l = 0; l < kCholeskyLanes; ++l) {
+      const auto lane = static_cast<std::size_t>(l);
+      DenseMatrix f = systems[lane];
+      ASSERT_TRUE(cholesky_factor(f));
+      for (std::size_t c = 0; c < nn; ++c) {
+        for (std::size_t r = c; r < nn; ++r) {
+          EXPECT_EQ(pack[(c * nn + r) * kCholeskyLanes + lane],
+                    f(static_cast<index_t>(r), static_cast<index_t>(c)))
+              << "n=" << n << " lane=" << l << " L(" << r << "," << c << ")";
+        }
+      }
+      std::vector<value_t> b(nn, 0.0);
+      b.back() = 1.0;
+      cholesky_solve(f, b);
+      for (std::size_t r = 0; r < nn; ++r) {
+        EXPECT_EQ(x[r * kCholeskyLanes + lane], b[r])
+            << "n=" << n << " lane=" << l << " x" << r;
+      }
+    }
+  }
+}
+
+TEST(CholeskyLanesTest, AnyLanePivotFailureFailsTheGroup) {
+  std::vector<DenseMatrix> systems;
+  auto pack = pack_lanes(6, 77, systems);
+  // Lane 2's last diagonal entry becomes hugely negative: its final pivot
+  // fails while every other lane would succeed.
+  pack[(5 * 6 + 5) * kCholeskyLanes + 2] = -1e6;
+  EXPECT_FALSE(cholesky_factor_lanes(pack, 6));
 }
 
 class FactorizationProperty : public ::testing::TestWithParam<index_t> {};

@@ -229,6 +229,27 @@ TEST(ExecSetupTest, FsaiFactorIsBitIdenticalAcrossExecutors) {
   }
 }
 
+TEST(ExecSetupTest, LaneBatchedFsaiFactorIsBitIdenticalAcrossExecutors) {
+  // 2744 rows: several row blocks for the team to claim, each dominated by
+  // full lane groups of equal-length 27-point rows.
+  const auto a = stencil27(14, 14, 14);
+  const auto s = fsai_base_pattern(a, 1, 0.0);
+
+  SeqExecutor seq;
+  FsaiComputeOptions opts;
+  opts.exec = &seq;
+  FsaiFactorStats seq_stats;
+  const auto g_seq = compute_fsai_factor(a, s, &seq_stats, opts);
+
+  ThreadedExecutor thr(4);
+  opts.exec = &thr;
+  FsaiFactorStats thr_stats;
+  const auto g_thr = compute_fsai_factor(a, s, &thr_stats, opts);
+  expect_same_factor_bits(g_seq, g_thr);
+  EXPECT_EQ(seq_stats, thr_stats);
+  EXPECT_EQ(seq_stats.rows_solved, a.rows());
+}
+
 TEST(ExecSetupTest, FilteredBuildIsBitIdenticalAcrossExecutors) {
   const auto a = poisson2d(14, 14);
   const Layout layout = Layout::blocked(a.rows(), 4);

@@ -27,7 +27,11 @@ using Sched = ShardedScheduler<Job, JobTraits>;
 
 Job job(std::int64_t seq, std::size_t shard, int priority = 0,
         double deadline_us = -1.0) {
-  return Job{"j" + std::to_string(seq), shard, priority, deadline_us, seq};
+  // Appended rather than `"j" + std::to_string(seq)`, which GCC 12
+  // misreports as an overlapping memcpy (-Wrestrict).
+  std::string id = "j";
+  id += std::to_string(seq);
+  return Job{std::move(id), shard, priority, deadline_us, seq};
 }
 
 TEST(ShardedSchedulerTest, BoundsTotalCapacityAcrossLanes) {

@@ -22,6 +22,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// prefix followed by decimal i, built by appending: GCC 12 misreports the
+/// `numbered("r", i)` operator+ as an overlapping memcpy (-Wrestrict).
+std::string numbered(const char* prefix, int i) {
+  std::string id = prefix;
+  id += std::to_string(i);
+  return id;
+}
+
 // ------------------------------------------------------------- protocol --
 
 TEST(ProtocolTest, RequestRoundTripsThroughJson) {
@@ -795,7 +803,7 @@ TEST_F(ServiceTest, ServeRequestsCountsParseRejections) {
 TEST_F(ServiceTest, WorkerCountDoesNotChangeResults) {
   std::string requests;
   for (int i = 0; i < 6; ++i) {
-    SolveRequest req = request("r" + std::to_string(i));
+    SolveRequest req = request(numbered("r", i));
     req.rhs_seed = static_cast<std::uint64_t>(1000 + i);
     requests += to_json(req).dump() + "\n";
   }
@@ -821,7 +829,7 @@ TEST_F(ServiceTest, PrioritizedTrafficSolvesIdenticallyAcrossWorkerCounts) {
   // stay bit-identical for any worker count (acceptance criterion).
   std::string requests;
   for (int i = 0; i < 6; ++i) {
-    SolveRequest req = request("p" + std::to_string(i));
+    SolveRequest req = request(numbered("p", i));
     req.rhs_seed = static_cast<std::uint64_t>(2000 + i);
     req.priority = i % 3;
     if (i % 2 == 0) req.deadline_ms = 60000.0;
@@ -1032,7 +1040,7 @@ TEST_F(ServiceTest, ReusedOperatorCountsOneRamHitPerResponse) {
   {
     SolveService service({.workers = 1, .cache_capacity = 4}, col.handler());
     for (int i = 0; i < 5; ++i) {
-      service.submit(gen_request("g" + std::to_string(i), spec,
+      service.submit(gen_request(numbered("g", i), spec,
                                  static_cast<std::uint64_t>(100 + i)));
       service.drain();
     }
@@ -1045,13 +1053,13 @@ TEST_F(ServiceTest, ReusedOperatorCountsOneRamHitPerResponse) {
     EXPECT_EQ(stats.operator_reuses, 3);
   }
   for (int i = 1; i < 5; ++i) {
-    const SolveResponse& r = col.by_id.at("g" + std::to_string(i));
+    const SolveResponse& r = col.by_id.at(numbered("g", i));
     EXPECT_EQ(r.cache, "hit");
     EXPECT_EQ(r.fingerprint, col.by_id.at("g0").fingerprint);
   }
   std::vector<SolveRequest> reqs;
   for (int i = 0; i < 5; ++i) {
-    reqs.push_back(gen_request("g" + std::to_string(i), spec,
+    reqs.push_back(gen_request(numbered("g", i), spec,
                                static_cast<std::uint64_t>(100 + i)));
   }
   const auto solo = solo_solves(reqs);
@@ -1068,7 +1076,7 @@ TEST_F(ServiceTest, ConcurrentSameKeyTrafficIsBitIdenticalToSoloSolves) {
   const std::string spec = "stencil2d:nx=24,ny=24";
   std::vector<SolveRequest> reqs;
   for (int i = 0; i < 16; ++i) {
-    reqs.push_back(gen_request("c" + std::to_string(i), spec,
+    reqs.push_back(gen_request(numbered("c", i), spec,
                                static_cast<std::uint64_t>(300 + i % 4)));
   }
   Collector col;
@@ -1163,7 +1171,7 @@ TEST_F(ServiceTest, ZeroCacheCapacityRetainsNoOperator) {
   {
     SolveService service({.workers = 1, .cache_capacity = 0}, col.handler());
     for (int i = 0; i < 3; ++i) {
-      service.submit(gen_request("z" + std::to_string(i), spec));
+      service.submit(gen_request(numbered("z", i), spec));
       service.drain();
     }
     const ServiceStats stats = service.stats();
