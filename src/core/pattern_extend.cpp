@@ -1,8 +1,8 @@
 #include "core/pattern_extend.hpp"
 
 #include <algorithm>
-
-#include "dist/comm_scheme.hpp"
+#include <cstdint>
+#include <vector>
 
 namespace fsaic {
 
@@ -36,26 +36,65 @@ ExtensionResult extend_pattern(const SparsityPattern& s, const Layout& layout,
   const auto entries_per_line =
       static_cast<index_t>(cache_line_bytes / sizeof(value_t));
   const index_t n = s.rows();
+  const auto row_ptr_s = s.row_ptr();
+  const auto col_idx_s = s.col_idx();
 
-  // Communication schemes of the initial pattern; halo admissions must stay
-  // within both (Gx and G^T x keep their exchanges unchanged).
-  CommScheme scheme_g;
-  CommScheme scheme_gt;
+  std::vector<rank_t> owner(static_cast<std::size_t>(n));
+  for (rank_t p = 0; p < layout.nranks(); ++p) {
+    std::fill(owner.begin() + layout.begin(p), owner.begin() + layout.end(p), p);
+  }
+
+  // Communication schemes of the initial pattern as one bitmap per rank;
+  // halo admissions must stay within both (Gx and G^T x keep their
+  // exchanges unchanged). recv_g[p] holds gid iff rank p receives x[gid]
+  // for G x: a row of p has column gid owned elsewhere. recv_gt[q] holds i
+  // iff q receives x[i] for G^T x: an entry (i, k) has owner(k) == q !=
+  // owner(i). These are CommScheme::from_pattern of S and S^T.
+  const auto words = static_cast<std::size_t>(n + 63) / 64;
+  std::vector<std::uint64_t> recv_g;
+  std::vector<std::uint64_t> recv_gt;
+  const auto set_bit = [words](std::vector<std::uint64_t>& bits, rank_t r,
+                               index_t gid) {
+    bits[static_cast<std::size_t>(r) * words + static_cast<std::size_t>(gid) / 64] |=
+        std::uint64_t{1} << (static_cast<std::size_t>(gid) % 64);
+  };
+  const auto test_bit = [words](const std::vector<std::uint64_t>& bits, rank_t r,
+                                index_t gid) {
+    return ((bits[static_cast<std::size_t>(r) * words +
+                  static_cast<std::size_t>(gid) / 64] >>
+             (static_cast<std::size_t>(gid) % 64)) &
+            1U) != 0;
+  };
   if (mode == ExtensionMode::CommAware) {
-    scheme_g = CommScheme::from_pattern(s, layout);
-    scheme_gt = CommScheme::from_pattern(s.transposed(), layout);
+    recv_g.assign(static_cast<std::size_t>(layout.nranks()) * words, 0);
+    recv_gt.assign(static_cast<std::size_t>(layout.nranks()) * words, 0);
+    for (index_t i = 0; i < n; ++i) {
+      const rank_t p = owner[static_cast<std::size_t>(i)];
+      for (offset_t e = row_ptr_s[static_cast<std::size_t>(i)];
+           e < row_ptr_s[static_cast<std::size_t>(i) + 1]; ++e) {
+        const index_t j = col_idx_s[static_cast<std::size_t>(e)];
+        const rank_t q = owner[static_cast<std::size_t>(j)];
+        if (q == p) continue;
+        set_bit(recv_g, p, j);
+        set_bit(recv_gt, q, i);
+      }
+    }
   }
 
   ExtensionResult result;
-  std::vector<std::vector<index_t>> rows_out(static_cast<std::size_t>(n));
+  std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<index_t> col_idx;
+  col_idx.reserve(2 * static_cast<std::size_t>(s.nnz()));
   // Scratch marker so duplicate candidates within a row are counted once.
   std::vector<index_t> last_row_touch(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> added;  // admitted columns of the current row
 
   for (index_t i = 0; i < n; ++i) {
-    const rank_t p = layout.owner(i);
+    const rank_t p = owner[static_cast<std::size_t>(i)];
+    const index_t own_begin = layout.begin(p);
+    const index_t own_end = layout.end(p);
     const auto base = s.row(i);
-    auto& out = rows_out[static_cast<std::size_t>(i)];
-    out.assign(base.begin(), base.end());
+    added.clear();
     for (index_t j : base) {
       last_row_touch[static_cast<std::size_t>(j)] = i;
     }
@@ -66,17 +105,17 @@ ExtensionResult extend_pattern(const SparsityPattern& s, const Layout& layout,
       if (block == prev_block) continue;  // Alg. 3 line 6: block already done
       prev_block = block;
       const index_t k_begin = block * entries_per_line;
-      const index_t k_end = std::min<index_t>(k_begin + entries_per_line, n);
-      for (index_t k = k_begin; k < k_end; ++k) {
-        if (k > i) break;  // keep G lower triangular
+      const index_t k_end = std::min<index_t>(k_begin + entries_per_line, i + 1);
+      for (index_t k = k_begin; k < k_end; ++k) {  // k <= i: G lower triangular
         if (last_row_touch[static_cast<std::size_t>(k)] == i) continue;  // present
         bool admit = false;
-        if (layout.owns(p, k)) {
+        if (k >= own_begin && k < own_end) {
           admit = true;  // Alg. 3 line 12: local entries are always free
-          if (admit) ++result.local_added;
+          ++result.local_added;
         } else {
           switch (mode) {
             case ExtensionMode::LocalOnly:
+            case ExtensionMode::None:
               admit = false;
               break;
             case ExtensionMode::FullHalo:
@@ -86,24 +125,29 @@ ExtensionResult extend_pattern(const SparsityPattern& s, const Layout& layout,
               // Alg. 3 line 13 generalized to both products (Section 3):
               // x_k must already flow to owner(i) for Gx, and x_i must
               // already flow to owner(k) for G^T x.
-              admit = scheme_g.receives(p, k) &&
-                      scheme_gt.receives(layout.owner(k), i);
-              break;
-            case ExtensionMode::None:
-              admit = false;
+              admit = test_bit(recv_g, p, k) &&
+                      test_bit(recv_gt, owner[static_cast<std::size_t>(k)], i);
               break;
           }
           if (admit) ++result.halo_added;
         }
         if (admit) {
-          out.push_back(k);
+          added.push_back(k);
           last_row_touch[static_cast<std::size_t>(k)] = i;
         }
       }
     }
+    // Blocks are visited in ascending order and each block ascending, so the
+    // admitted columns form one ascending run; merging it with the base row
+    // gives the sorted row.
+    const std::size_t row_begin = col_idx.size();
+    col_idx.resize(row_begin + base.size() + added.size());
+    std::merge(base.begin(), base.end(), added.begin(), added.end(),
+               col_idx.begin() + static_cast<std::ptrdiff_t>(row_begin));
+    row_ptr[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(col_idx.size());
   }
 
-  result.extended = SparsityPattern::from_rows(n, n, std::move(rows_out));
+  result.extended = SparsityPattern(n, n, std::move(row_ptr), std::move(col_idx));
   FSAIC_CHECK(result.extended.nnz() == s.nnz() + result.total_added(),
               "extension bookkeeping mismatch");
   return result;

@@ -74,83 +74,100 @@ struct RowView {
 };
 
 /// Build rank p's RankBlock from its rows of the conceptual global matrix
-/// (`row(li)` yields local row li with GLOBAL column ids). This is the one
-/// remapping code path shared by distribute() and from_rank_local(), so
-/// both produce bit-identical blocks from the same rows. Pure per-rank
-/// work — safe to run for distinct ranks concurrently.
+/// (`row(li)` yields local row li with GLOBAL column ids, ascending and
+/// duplicate-free). This is the one remapping code path shared by
+/// distribute() and from_rank_local(), so both produce bit-identical blocks
+/// from the same rows. Pure per-rank work — safe to run for distinct ranks
+/// concurrently.
+///
+/// Owned column j becomes j - begin(p); ghost gid becomes nloc plus its
+/// rank among the sorted ghosts. A sorted row is [lower ghosts | owned |
+/// upper ghosts] by gid, so its remapped ascending order is the rotation
+/// [owned | lower ghosts | upper ghosts], and no row needs sorting.
 template <typename RowFn>
 void build_rank_block(const Layout& layout, rank_t p, RowFn&& row,
                       RankBlock& blk) {
   const index_t row0 = layout.begin(p);
+  const index_t row1 = layout.end(p);
   const index_t nloc = layout.local_size(p);
 
-  // Pass 1: collect ghost column ids.
+  // Pass 1: the column span and the entry count.
+  index_t lo = row0;
+  index_t hi = row1;
+  offset_t nnz = 0;
+  for (index_t li = 0; li < nloc; ++li) {
+    const auto cols = row(li).cols;
+    if (cols.empty()) continue;
+    lo = std::min(lo, cols.front());
+    hi = std::max(hi, cols.back() + 1);
+    nnz += static_cast<offset_t>(cols.size());
+  }
+
+  // Pass 2: collect each ghost once through a marker over [lo, hi), sort
+  // the distinct ghosts, then store each one's local column in the marker.
+  std::vector<index_t> local_col(static_cast<std::size_t>(hi - lo), -1);
   std::vector<index_t> ghosts;
   for (index_t li = 0; li < nloc; ++li) {
     for (index_t j : row(li).cols) {
-      if (!layout.owns(p, j)) ghosts.push_back(j);
+      if (j >= row0 && j < row1) continue;
+      index_t& mark = local_col[static_cast<std::size_t>(j - lo)];
+      if (mark == -1) {
+        mark = 0;
+        ghosts.push_back(j);
+      }
     }
   }
   std::sort(ghosts.begin(), ghosts.end());
-  ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
-  blk.ghost_gids = ghosts;
+  for (std::size_t g = 0; g < ghosts.size(); ++g) {
+    local_col[static_cast<std::size_t>(ghosts[g] - lo)] =
+        nloc + static_cast<index_t>(g);
+  }
 
-  // Pass 2: build the local CSR with remapped columns.
+  // Pass 3: emit every row as its rotation, and split interior/boundary
+  // rows for the overlap-capable SpMV (boundary iff any ghost column).
   std::vector<offset_t> row_ptr(static_cast<std::size_t>(nloc) + 1, 0);
-  std::vector<index_t> col_idx;
-  std::vector<value_t> values;
+  std::vector<index_t> col_idx(static_cast<std::size_t>(nnz));
+  std::vector<value_t> values(static_cast<std::size_t>(nnz));
+  std::size_t pos = 0;
   for (index_t li = 0; li < nloc; ++li) {
     const RowView rv = row(li);
-    // Owned columns keep relative order; ghosts are appended per row then
-    // the row is re-sorted by the remapped index so CSR invariants hold.
-    std::vector<std::pair<index_t, value_t>> entries;
-    entries.reserve(rv.cols.size());
-    for (std::size_t k = 0; k < rv.cols.size(); ++k) {
-      const index_t j = rv.cols[k];
-      index_t lj;
-      if (layout.owns(p, j)) {
-        lj = j - row0;
-        ++blk.local_entries;
-      } else {
-        const auto it = std::lower_bound(ghosts.begin(), ghosts.end(), j);
-        lj = nloc + static_cast<index_t>(it - ghosts.begin());
-        ++blk.halo_entries;
-      }
-      entries.emplace_back(lj, rv.vals[k]);
+    const std::size_t len = rv.cols.size();
+    std::size_t a = 0;
+    while (a < len && rv.cols[a] < row0) ++a;
+    std::size_t b = a;
+    while (b < len && rv.cols[b] < row1) ++b;
+    for (std::size_t k = a; k < b; ++k, ++pos) {
+      col_idx[pos] = rv.cols[k] - row0;
+      values[pos] = rv.vals[k];
     }
-    std::sort(entries.begin(), entries.end());
-    for (const auto& [lj, v] : entries) {
-      col_idx.push_back(lj);
-      values.push_back(v);
+    for (std::size_t k = 0; k < a; ++k, ++pos) {
+      col_idx[pos] = local_col[static_cast<std::size_t>(rv.cols[k] - lo)];
+      values[pos] = rv.vals[k];
     }
-    row_ptr[static_cast<std::size_t>(li) + 1] = static_cast<offset_t>(col_idx.size());
+    for (std::size_t k = b; k < len; ++k, ++pos) {
+      col_idx[pos] = local_col[static_cast<std::size_t>(rv.cols[k] - lo)];
+      values[pos] = rv.vals[k];
+    }
+    row_ptr[static_cast<std::size_t>(li) + 1] = static_cast<offset_t>(pos);
+    blk.local_entries += static_cast<offset_t>(b - a);
+    blk.halo_entries += static_cast<offset_t>(len - (b - a));
+    (b - a == len ? blk.interior_rows : blk.boundary_rows).push_back(li);
   }
   blk.matrix = CsrMatrix(nloc, nloc + static_cast<index_t>(ghosts.size()),
                          std::move(row_ptr), std::move(col_idx),
                          std::move(values));
 
-  // Interior/boundary row split for the overlap-capable SpMV: a row is
-  // boundary iff it touches any ghost column.
-  for (index_t li = 0; li < nloc; ++li) {
-    const auto cols = blk.matrix.row_cols(li);
-    const bool boundary =
-        std::any_of(cols.begin(), cols.end(),
-                    [nloc](index_t c) { return c >= nloc; });
-    (boundary ? blk.boundary_rows : blk.interior_rows).push_back(li);
-  }
-
   // Recv map: ghosts grouped by owning rank (ascending rank, sorted gids —
-  // ghosts are globally sorted and ranks own ascending ranges, so a single
-  // sweep groups them).
-  rank_t current = -1;
+  // ranks own ascending ranges, so one sweep of the sorted ghosts groups
+  // them).
+  rank_t q = 0;
   for (index_t gid : ghosts) {
-    const rank_t q = layout.owner(gid);
-    if (q != current) {
-      blk.recv.push_back({q, {}});
-      current = q;
-    }
+    const bool new_owner = blk.recv.empty() || gid >= layout.end(q);
+    while (gid >= layout.end(q)) ++q;
+    if (new_owner) blk.recv.push_back({q, {}});
     blk.recv.back().gids.push_back(gid);
   }
+  blk.ghost_gids = std::move(ghosts);
 }
 
 }  // namespace
@@ -216,6 +233,16 @@ DistCsr DistCsr::from_rank_local(
           for (const index_t j : rows.col_gids) {
             FSAIC_REQUIRE(j >= 0 && j < layout.global_size(),
                           "rank rows column id out of range");
+          }
+          FSAIC_REQUIRE(std::is_sorted(rows.row_ptr.begin(), rows.row_ptr.end()),
+                        "rank rows row_ptr must be non-decreasing");
+          for (index_t li = 0; li < nloc; ++li) {
+            for (offset_t k = rows.row_ptr[static_cast<std::size_t>(li)] + 1;
+                 k < rows.row_ptr[static_cast<std::size_t>(li) + 1]; ++k) {
+              FSAIC_REQUIRE(rows.col_gids[static_cast<std::size_t>(k) - 1] <
+                                rows.col_gids[static_cast<std::size_t>(k)],
+                            "rank rows columns must ascend without duplicates");
+            }
           }
           build_rank_block(
               layout, p,

@@ -1,6 +1,8 @@
 #include "sparse/mm_io.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sparse/coo.hpp"
@@ -14,6 +16,23 @@ std::string lowercase(std::string s) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   return s;
+}
+
+/// "line N: what" for an Error about 1-based input line N.
+std::string at_line(long long line_no, const char* what) {
+  return "line " + std::to_string(line_no) + ": " + what;
+}
+
+/// Read one value token; false unless it parses and is finite (a failed
+/// parse, "nan", "inf" and an overflowing literal are all rejected).
+bool read_finite(std::istringstream& in, value_t& v) {
+  return static_cast<bool>(in >> v) && std::isfinite(v);
+}
+
+/// True iff nothing but whitespace is left on the line.
+bool at_end(std::istringstream& in) {
+  in >> std::ws;
+  return in.eof();
 }
 
 }  // namespace
@@ -36,26 +55,38 @@ CsrMatrix read_matrix_market(std::istream& in) {
                 "only general/symmetric matrices supported");
 
   // Skip comments.
+  long long line_no = 1;
   while (std::getline(in, line)) {
+    ++line_no;
     if (!line.empty() && line[0] != '%') break;
   }
   std::istringstream sizes(line);
   long long rows = 0, cols = 0, nnz = 0;
-  sizes >> rows >> cols >> nnz;
-  FSAIC_REQUIRE(rows > 0 && cols > 0 && nnz >= 0, "bad size line");
+  FSAIC_REQUIRE(static_cast<bool>(sizes >> rows >> cols >> nnz) && at_end(sizes),
+                at_line(line_no, "bad size line"));
+  FSAIC_REQUIRE(rows > 0 && cols > 0 && nnz >= 0, at_line(line_no, "bad size line"));
+  FSAIC_REQUIRE(rows <= std::numeric_limits<index_t>::max() &&
+                    cols <= std::numeric_limits<index_t>::max(),
+                at_line(line_no, "matrix dimensions exceed the index range"));
 
   CooBuilder builder(static_cast<index_t>(rows), static_cast<index_t>(cols));
   builder.reserve(static_cast<std::size_t>(sym == "symmetric" ? 2 * nnz : nnz));
   for (long long k = 0; k < nnz; ++k) {
     FSAIC_REQUIRE(static_cast<bool>(std::getline(in, line)),
                   "truncated entry list");
+    ++line_no;
     std::istringstream entry(line);
     long long i = 0, j = 0;
     value_t v = 1.0;
-    entry >> i >> j;
-    if (fld != "pattern") entry >> v;
+    FSAIC_REQUIRE(static_cast<bool>(entry >> i >> j),
+                  at_line(line_no, "malformed entry indices"));
+    if (fld != "pattern") {
+      FSAIC_REQUIRE(read_finite(entry, v),
+                    at_line(line_no, "entry value is malformed or not finite"));
+    }
+    FSAIC_REQUIRE(at_end(entry), at_line(line_no, "trailing characters after entry"));
     FSAIC_REQUIRE(i >= 1 && i <= rows && j >= 1 && j <= cols,
-                  "entry index out of range");
+                  at_line(line_no, "entry index out of range"));
     const auto ii = static_cast<index_t>(i - 1);
     const auto jj = static_cast<index_t>(j - 1);
     if (sym == "symmetric") {
@@ -91,22 +122,26 @@ std::vector<value_t> read_matrix_market_vector(std::istream& in) {
   FSAIC_REQUIRE(lowercase(symmetry) == "general",
                 "vectors must be declared general");
 
+  long long line_no = 1;
   while (std::getline(in, line)) {
+    ++line_no;
     if (!line.empty() && line[0] != '%') break;
   }
   std::istringstream sizes(line);
   long long rows = 0, cols = 0, nnz = 0;
   sizes >> rows >> cols;
   FSAIC_REQUIRE(rows > 0 && cols == 1, "right-hand side must have one column");
+  FSAIC_REQUIRE(rows <= std::numeric_limits<index_t>::max(),
+                at_line(line_no, "vector length exceeds the index range"));
   std::vector<value_t> v(static_cast<std::size_t>(rows), 0.0);
   if (fmt == "array") {
     for (long long k = 0; k < rows; ++k) {
       FSAIC_REQUIRE(static_cast<bool>(std::getline(in, line)),
                     "truncated vector entries");
+      ++line_no;
       std::istringstream entry(line);
-      FSAIC_REQUIRE(
-          static_cast<bool>(entry >> v[static_cast<std::size_t>(k)]),
-          "malformed vector entry");
+      FSAIC_REQUIRE(read_finite(entry, v[static_cast<std::size_t>(k)]) && at_end(entry),
+                    at_line(line_no, "malformed or non-finite vector entry"));
     }
   } else {
     sizes >> nnz;
@@ -114,13 +149,15 @@ std::vector<value_t> read_matrix_market_vector(std::istream& in) {
     for (long long k = 0; k < nnz; ++k) {
       FSAIC_REQUIRE(static_cast<bool>(std::getline(in, line)),
                     "truncated vector entries");
+      ++line_no;
       std::istringstream entry(line);
       long long i = 0, j = 0;
       value_t x = 0.0;
-      FSAIC_REQUIRE(static_cast<bool>(entry >> i >> j >> x),
-                    "malformed vector entry");
+      FSAIC_REQUIRE(static_cast<bool>(entry >> i >> j) && read_finite(entry, x) &&
+                        at_end(entry),
+                    at_line(line_no, "malformed or non-finite vector entry"));
       FSAIC_REQUIRE(i >= 1 && i <= rows && j == 1,
-                    "vector entry index out of range");
+                    at_line(line_no, "vector entry index out of range"));
       v[static_cast<std::size_t>(i - 1)] = x;
     }
   }

@@ -113,17 +113,47 @@ CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm) {
   FSAIC_REQUIRE(a.rows() == a.cols(), "symmetric permutation requires square");
   FSAIC_REQUIRE(perm.size() == static_cast<std::size_t>(a.rows()),
                 "permutation size mismatch");
-  CooBuilder out(a.rows(), a.cols());
-  out.reserve(static_cast<std::size_t>(a.nnz()));
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const auto cols_i = a.row_cols(i);
-    const auto vals_i = a.row_vals(i);
+  const index_t n = a.rows();
+  std::vector<index_t> inverse(static_cast<std::size_t>(n), -1);
+  for (index_t i = 0; i < n; ++i) {
     const index_t pi = perm[static_cast<std::size_t>(i)];
-    for (std::size_t k = 0; k < cols_i.size(); ++k) {
-      out.add(pi, perm[static_cast<std::size_t>(cols_i[k])], vals_i[k]);
+    FSAIC_REQUIRE(pi >= 0 && pi < n, "permutation index out of range");
+    FSAIC_REQUIRE(inverse[static_cast<std::size_t>(pi)] == -1,
+                  "permutation maps two indices to one");
+    inverse[static_cast<std::size_t>(pi)] = i;
+  }
+  const auto src_ptr = a.row_ptr();
+  const auto src_idx = a.col_idx();
+  const auto src_val = a.values();
+  std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (index_t r = 0; r < n; ++r) {
+    const auto i = static_cast<std::size_t>(inverse[static_cast<std::size_t>(r)]);
+    row_ptr[static_cast<std::size_t>(r) + 1] =
+        row_ptr[static_cast<std::size_t>(r)] + (src_ptr[i + 1] - src_ptr[i]);
+  }
+  std::vector<index_t> col_idx(static_cast<std::size_t>(a.nnz()));
+  std::vector<value_t> values(static_cast<std::size_t>(a.nnz()));
+  for (index_t r = 0; r < n; ++r) {
+    const index_t i = inverse[static_cast<std::size_t>(r)];
+    const auto out = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(r)]);
+    const auto b = static_cast<std::size_t>(src_ptr[static_cast<std::size_t>(i)]);
+    const auto len = static_cast<std::size_t>(src_ptr[static_cast<std::size_t>(i) + 1]) - b;
+    // Insertion-sort the renumbered row. `0.0 + v` is the value a COO
+    // assembly sums into an empty slot: it maps -0.0 to +0.0.
+    for (std::size_t k = 0; k < len; ++k) {
+      const index_t c = perm[static_cast<std::size_t>(src_idx[b + k])];
+      const value_t v = 0.0 + src_val[b + k];
+      std::size_t pos = out + k;
+      while (pos > out && col_idx[pos - 1] > c) {
+        col_idx[pos] = col_idx[pos - 1];
+        values[pos] = values[pos - 1];
+        --pos;
+      }
+      col_idx[pos] = c;
+      values[pos] = v;
     }
   }
-  return out.to_csr();
+  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
 CsrMatrix lower_triangle(const CsrMatrix& a) {

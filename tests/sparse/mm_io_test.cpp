@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "matgen/generators.hpp"
 
@@ -116,6 +117,70 @@ TEST(MmIoVectorTest, RejectsBadVectorBanner) {
 
 TEST(MmIoVectorTest, MissingVectorFileThrows) {
   EXPECT_THROW(read_matrix_market_vector_file("/nonexistent/b.mtx"), Error);
+}
+
+/// The Error message read_matrix_market throws for `text`, or "" if it
+/// parses.
+std::string matrix_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    (void)read_matrix_market(ss);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kHeader3x3 =
+    "%%MatrixMarket matrix coordinate real general\n"
+    "% comment\n"
+    "3 3 3\n"
+    "1 1 4.0\n"
+    "2 2 4.0\n";
+
+TEST(MmIoTest, RejectsNonFiniteValuesWithTheirLine) {
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "1e999", "-1e999"}) {
+    const std::string err = matrix_error(std::string(kHeader3x3) + "3 3 " + bad + "\n");
+    EXPECT_NE(err.find("line 6"), std::string::npos) << bad << ": " << err;
+    EXPECT_NE(err.find("not finite"), std::string::npos) << bad << ": " << err;
+  }
+}
+
+TEST(MmIoTest, RejectsEntriesThatDoNotParseFully) {
+  for (const char* bad : {"3 3 4x", "3 3", "3 x 4.0", "3 3 4.0 5.0", "3.5 3 4.0"}) {
+    const std::string err = matrix_error(std::string(kHeader3x3) + bad + "\n");
+    EXPECT_NE(err.find("line 6"), std::string::npos) << bad << ": " << err;
+  }
+  // A finite last entry parses.
+  EXPECT_EQ(matrix_error(std::string(kHeader3x3) + "3 3 4.0 \n"), "");
+}
+
+TEST(MmIoTest, RejectsMalformedAndOversizedSizeLines) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  EXPECT_NE(matrix_error(banner + "3 3 x\n").find("line 2: bad size line"),
+            std::string::npos);
+  EXPECT_NE(matrix_error(banner + "3000000000 3 0\n").find("index range"),
+            std::string::npos);
+  EXPECT_NE(matrix_error(banner + "3 3000000000 0\n").find("index range"),
+            std::string::npos);
+}
+
+TEST(MmIoTest, PatternEntriesTakeNoValue) {
+  const std::string err = matrix_error(
+      "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1 7.0\n");
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+}
+
+TEST(MmIoVectorTest, RejectsNonFiniteAndMalformedEntries) {
+  for (const char* bad : {"nan", "inf", "1e999", "2x"}) {
+    std::stringstream array;
+    array << "%%MatrixMarket matrix array real general\n2 1\n1.0\n" << bad << "\n";
+    EXPECT_THROW(read_matrix_market_vector(array), Error) << bad;
+    std::stringstream coord;
+    coord << "%%MatrixMarket matrix coordinate real general\n2 1 1\n2 1 " << bad
+          << "\n";
+    EXPECT_THROW(read_matrix_market_vector(coord), Error) << bad;
+  }
 }
 
 }  // namespace
