@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "sparse/csr.hpp"
-#include "sparse/sell.hpp"
 
 namespace fsaic {
 
@@ -71,42 +70,6 @@ XAccessReport replay_spmv_x_accesses(const CsrMatrix& m, CacheModel& model,
     for (index_t j : m.row_cols(i)) {
       model.access(base_addr +
                    static_cast<std::uint64_t>(j) * sizeof(value_t));
-    }
-  }
-  XAccessReport report;
-  report.accesses = model.accesses() - accesses_before;
-  report.misses = model.misses() - misses_before;
-  return report;
-}
-
-XAccessReport replay_sell_spmv_x_accesses(const SellMatrix& m,
-                                          const CacheConfig& config) {
-  CacheModel model(config);
-  return replay_sell_spmv_x_accesses(m, model);
-}
-
-XAccessReport replay_sell_spmv_x_accesses(const SellMatrix& m, CacheModel& model,
-                                          std::uint64_t base_addr) {
-  const std::int64_t misses_before = model.misses();
-  const std::int64_t accesses_before = model.accesses();
-  const auto chunk_ptr = m.chunk_ptr();
-  const auto widths = m.chunk_widths();
-  const auto cols = m.col_indices();
-  const index_t chunk = m.chunk();
-  for (index_t c = 0; c < m.num_chunks(); ++c) {
-    const offset_t base = chunk_ptr[static_cast<std::size_t>(c)];
-    const index_t width = widths[static_cast<std::size_t>(c)];
-    for (index_t j = 0; j < width; ++j) {
-      const offset_t slot0 = base + static_cast<offset_t>(j) * chunk;
-      // All `chunk` lanes, including the padding lanes of a final partial
-      // chunk: the kernel issues their x[0] loads too (branch-free lanes),
-      // so accesses == padded_size() exactly.
-      for (index_t lane = 0; lane < chunk; ++lane) {
-        const index_t col =
-            cols[static_cast<std::size_t>(slot0 + lane)];
-        model.access(base_addr +
-                     static_cast<std::uint64_t>(col) * sizeof(value_t));
-      }
     }
   }
   XAccessReport report;

@@ -84,17 +84,4 @@ XAccessReport replay_spmv_x_accesses(const CsrMatrix& m, const CacheConfig& conf
 XAccessReport replay_spmv_x_accesses(const CsrMatrix& m, CacheModel& model,
                                      std::uint64_t base_addr = 0);
 
-class SellMatrix;  // fwd (sparse/sell.hpp)
-
-/// Misses on x during one SELL-C-sigma SpMV: the replay walks the chunk
-/// storage in kernel order — chunks outer, slot columns inner, lanes
-/// innermost — so it sees the sigma-sorted access locality (and the padding
-/// slots' x[0] reads) exactly as the SIMD kernel issues them. The access
-/// COUNT therefore includes padding (accesses == padded_size()), unlike the
-/// CSR replay whose count equals nnz.
-XAccessReport replay_sell_spmv_x_accesses(const SellMatrix& m,
-                                          const CacheConfig& config);
-XAccessReport replay_sell_spmv_x_accesses(const SellMatrix& m, CacheModel& model,
-                                          std::uint64_t base_addr = 0);
-
 }  // namespace fsaic

@@ -1,5 +1,9 @@
 #include "core/fsai_driver.hpp"
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/format.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "sparse/ops.hpp"
@@ -95,9 +99,37 @@ std::unique_ptr<FactorizedPreconditioner> make_factorized_preconditioner(
                                                     label);
 }
 
+namespace {
+
+/// An SPD matrix has a positive diagonal, so a missing, non-positive or
+/// non-finite diagonal entry rejects the operator before any setup runs
+/// (otherwise CG stops after one iteration with no reason given).
+void require_positive_diagonal(const CsrMatrix& a) {
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto cols = a.row_cols(i);
+    const auto it = std::lower_bound(cols.begin(), cols.end(), i);
+    if (it == cols.end() || *it != i) {
+      throw Error(strformat(
+          "system matrix has no diagonal entry in row %lld (0-based); "
+          "FSAI needs an SPD matrix",
+          static_cast<long long>(i)));
+    }
+    const value_t d = a.row_vals(i)[static_cast<std::size_t>(it - cols.begin())];
+    if (!(d > 0.0) || !std::isfinite(d)) {
+      throw Error(strformat(
+          "system matrix diagonal entry in row %lld (0-based) is %g, not "
+          "positive and finite; FSAI needs an SPD matrix",
+          static_cast<long long>(i), d));
+    }
+  }
+}
+
+}  // namespace
+
 PartitionedSystem partition_system(const CsrMatrix& a, rank_t nranks,
                                    std::uint64_t seed) {
   FSAIC_REQUIRE(a.rows() == a.cols(), "system matrix must be square");
+  require_positive_diagonal(a);
   FSAIC_REQUIRE(nranks >= 1, "need at least one rank");
   PartitionedSystem sys;
   const Graph graph = Graph::from_pattern(a.pattern());

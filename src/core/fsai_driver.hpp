@@ -109,7 +109,9 @@ struct PartitionedSystem {
 };
 
 /// Partition the adjacency graph of `a` into nranks parts (the METIS step of
-/// the paper) and permute the system accordingly.
+/// the paper) and permute the system accordingly. Throws Error naming the
+/// 0-based row when `a` is not square or a diagonal entry is missing,
+/// non-positive or non-finite.
 [[nodiscard]] PartitionedSystem partition_system(const CsrMatrix& a, rank_t nranks,
                                                  std::uint64_t seed = 12345);
 

@@ -15,58 +15,6 @@ namespace fsaic {
 
 namespace {
 
-/// SELL chunk widths the autotuner scores — exactly the compile-time
-/// specializations of SellMatrix::spmv (anything else takes the slower
-/// generic shape, so there is no point padding for it).
-constexpr index_t kAutotuneChunks[] = {4, 8, 16, 32};
-/// Padding overhead beyond which the SIMD format stops paying for its
-/// wasted loads and the scalar CSR reference wins.
-constexpr double kAutotunePaddingLimit = 1.25;
-
-/// Resolve `autotune` into a concrete format/chunk for this matrix: the
-/// least-padded candidate chunk over every block's interior+boundary row
-/// subsets (the exact SellMatrix builds use_kernel performs), ties to the
-/// wider chunk; Csr when even the best candidate pads more than the limit.
-KernelConfig resolve_autotune(const KernelConfig& requested,
-                              std::span<const RankBlock> blocks) {
-  KernelConfig resolved = requested;
-  resolved.autotune = false;
-  offset_t nnz = 0;
-  for (const auto& blk : blocks) nnz += blk.matrix.nnz();
-  if (nnz == 0) {
-    resolved.format = OperatorFormat::Csr;
-    return resolved;
-  }
-  index_t best_chunk = 0;
-  offset_t best_padded = 0;
-  for (const index_t chunk : kAutotuneChunks) {
-    const index_t sigma =
-        std::max(chunk, requested.sell_sigma / chunk * chunk);
-    offset_t padded = 0;
-    for (const auto& blk : blocks) {
-      padded += sell_padded_entries(blk.matrix, blk.interior_rows, chunk, sigma);
-      padded += sell_padded_entries(blk.matrix, blk.boundary_rows, chunk, sigma);
-    }
-    // `<=` prefers the widest chunk among equals: same stored slots, more
-    // SIMD lanes per iteration.
-    if (best_chunk == 0 || padded <= best_padded) {
-      best_chunk = chunk;
-      best_padded = padded;
-    }
-  }
-  const double ratio =
-      static_cast<double>(best_padded) / static_cast<double>(nnz);
-  if (ratio > kAutotunePaddingLimit) {
-    resolved.format = OperatorFormat::Csr;
-  } else {
-    resolved.format = OperatorFormat::Sell;
-    resolved.sell_chunk = best_chunk;
-    resolved.sell_sigma =
-        std::max(best_chunk, requested.sell_sigma / best_chunk * best_chunk);
-  }
-  return resolved;
-}
-
 /// One row of global-column input to build_rank_block.
 struct RowView {
   std::span<const index_t> cols;
@@ -288,33 +236,16 @@ void DistCsr::finish_build(const CommConfig& comm) {
   comm_ = comm;
   halo_ = make_halo_exchanger(row_layout_, build_halo_plans(), comm);
 
-  // Rank-local kernel backend: FSAIC_FORMAT selects the process-wide
-  // default format; precision always starts Double (use_kernel opts in).
-  use_kernel(KernelConfig::from_env());
+  use_kernel(FactorPrecision::Double);
 }
 
-void DistCsr::use_kernel(const KernelConfig& kernel) {
-  kernel_ = kernel.autotune ? resolve_autotune(kernel, blocks_) : kernel;
+void DistCsr::use_kernel(FactorPrecision precision) {
+  precision_ = precision;
   ops_.clear();
   ops_.reserve(blocks_.size());
   for (const auto& blk : blocks_) {
-    ops_.emplace_back(blk.matrix, blk.interior_rows, blk.boundary_rows,
-                      kernel_);
+    ops_.emplace_back(blk.matrix, precision);
   }
-}
-
-offset_t DistCsr::padded_entries() const {
-  offset_t total = 0;
-  for (std::size_t p = 0; p < blocks_.size(); ++p) {
-    total += ops_[p].padded_entries(blocks_[p].matrix);
-  }
-  return total;
-}
-
-double DistCsr::padding_ratio() const {
-  const offset_t n = nnz();
-  return n > 0 ? static_cast<double>(padded_entries()) / static_cast<double>(n)
-               : 1.0;
 }
 
 std::vector<HaloPlan> DistCsr::build_halo_plans() const {
@@ -414,7 +345,7 @@ void DistCsr::spmv(const DistVector& x, DistVector& y, CommStats* stats,
           std::vector<value_t> x_ext(nloc + blk.ghost_gids.size());
           const auto x_loc = x.block(p);
           std::copy(x_loc.begin(), x_loc.end(), x_ext.begin());
-          ops_[static_cast<std::size_t>(p)].spmv_interior(
+          ops_[static_cast<std::size_t>(p)].spmv_rows(
               blk.matrix, blk.interior_rows, x_ext, y.block(p));
           const double t1 = trace != nullptr ? trace->now_us() : 0.0;
           if (trace != nullptr) {
@@ -428,7 +359,7 @@ void DistCsr::spmv(const DistVector& x, DistVector& y, CommStats* stats,
           if (trace != nullptr) {
             trace->complete("halo_exchange", "comm", t1, t2 - t1);
           }
-          ops_[static_cast<std::size_t>(p)].spmv_boundary(
+          ops_[static_cast<std::size_t>(p)].spmv_rows(
               blk.matrix, blk.boundary_rows, x_ext, y.block(p));
           if (trace != nullptr) {
             trace->complete("spmv_boundary", "compute", t2,
@@ -454,8 +385,7 @@ void DistCsr::spmv(const DistVector& x, DistVector& y, CommStats* stats,
           stats != nullptr ? &rank_stats[static_cast<std::size_t>(p)] : nullptr);
       const double t1 = trace != nullptr ? trace->now_us() : 0.0;
       if (trace != nullptr) trace->complete("halo_exchange", "comm", t0, t1 - t0);
-      ops_[static_cast<std::size_t>(p)].spmv_all(
-          blk.matrix, blk.interior_rows, blk.boundary_rows, x_ext, y.block(p));
+      ops_[static_cast<std::size_t>(p)].spmv_all(blk.matrix, x_ext, y.block(p));
       if (trace != nullptr) {
         trace->complete("spmv_local", "compute", t1, trace->now_us() - t1);
       }

@@ -121,29 +121,12 @@ class DistCsr {
   void use_comm(const CommConfig& comm);
   [[nodiscard]] const CommConfig& comm_config() const { return comm_; }
 
-  /// Swap the rank-local kernel backend (sparse/local_operator.hpp).
-  /// distribute() starts from KernelConfig::from_env() — FSAIC_FORMAT
-  /// selects csr|sell|auto process-wide — always at Double precision;
-  /// Single precision (float factor storage, double accumulation) is opt-in
-  /// here and meant for preconditioner factors only. A config with
-  /// `autotune` set is resolved per matrix before building: the least-padded
-  /// SELL chunk in {4, 8, 16, 32} wins, or Csr when every candidate pads
-  /// beyond 1.25x, and kernel_config() reports the resolved choice.
-  /// Double-precision formats are bit-identical: the SELL lanes accumulate
-  /// each row in the CSR reference order.
-  void use_kernel(const KernelConfig& kernel);
-  [[nodiscard]] const KernelConfig& kernel_config() const { return kernel_; }
-  /// Rank p's kernel realization (parallel to block(p)).
-  [[nodiscard]] const LocalOperator& local_op(rank_t p) const {
-    return ops_[static_cast<std::size_t>(p)];
-  }
-
-  /// Stored value slots including SELL padding, summed over ranks (== nnz
-  /// under the CSR format).
-  [[nodiscard]] offset_t padded_entries() const;
-  /// Padding overhead of the active format: padded_entries() / nnz()
-  /// (1.0 under CSR).
-  [[nodiscard]] double padding_ratio() const;
+  /// Set the storage precision of the rank-local kernels
+  /// (sparse/local_operator.hpp). Every matrix starts at Double; Single
+  /// (float32 values, double accumulation) is meant for preconditioner
+  /// factors only.
+  void use_kernel(FactorPrecision precision);
+  [[nodiscard]] FactorPrecision kernel_config() const { return precision_; }
 
   /// y = A x as SPMD supersteps on `exec` (nullptr -> the process-wide
   /// default executor). Under a flat exchanger: two supersteps — every rank
@@ -174,16 +157,16 @@ class DistCsr {
   [[nodiscard]] std::vector<HaloPlan> build_halo_plans() const;
   /// Shared epilogue of distribute()/from_rank_local(): mirror the send
   /// maps from the recv maps, realize the halo exchanger under `comm`, and
-  /// install the environment-selected kernel backend.
+  /// build the Double-precision rank-local kernels.
   void finish_build(const CommConfig& comm);
 
   Layout row_layout_;
   Layout col_layout_;
   std::vector<RankBlock> blocks_;
   CommConfig comm_;
-  KernelConfig kernel_;
+  FactorPrecision precision_ = FactorPrecision::Double;
   /// Per-rank kernel realizations, parallel to blocks_. Copies of a DistCsr
-  /// share the immutable SELL storage through the operators' shared_ptrs.
+  /// share the immutable float32 values through the operators' shared_ptrs.
   std::vector<LocalOperator> ops_;
   /// Mailboxes are synchronization state, not matrix data: copies of a
   /// DistCsr share one exchanger (operations on the same matrix are

@@ -19,18 +19,14 @@ CacheConfig CostModel::rank_cache() const {
 
 OpCost CostModel::spmv_cost(const DistCsr& a) const {
   const double t = options_.threads_per_rank;
-  // Format-aware matrix stream: the kernel streams one (value, column)
-  // pair per *stored slot* — nnz under CSR, padded slots under SELL (the
-  // padding ratio is exactly the extra stream traffic the layout pays for
-  // its SIMD lanes) — at 4-byte values when the factors are stored single.
-  // Under the default (csr, double) kernel this reduces to the historic
-  // bytes_per_nnz * nnz charge bit for bit.
-  const KernelConfig& kernel = a.kernel_config();
+  // Matrix stream: the kernel streams one (value, column) pair per stored
+  // entry, at 4-byte values when the factors are stored single. Under
+  // double storage this is the historic bytes_per_nnz * nnz charge.
   const double value_bytes =
-      kernel.precision == FactorPrecision::Single ? 4.0 : 8.0;
-  const double slot_bytes = value_bytes + 4.0;
-  const double per_slot = std::max(
-      slot_bytes / (machine_.mem_bw_per_core * machine_.stream_bw_multiplier),
+      a.kernel_config() == FactorPrecision::Single ? 4.0 : 8.0;
+  const double entry_bytes = value_bytes + 4.0;
+  const double per_entry = std::max(
+      entry_bytes / (machine_.mem_bw_per_core * machine_.stream_bw_multiplier),
       machine_.nnz_flop_cost());
   const CacheConfig cache = rank_cache();
   const NodeTopology topo = options_.comm.topology(a.nranks());
@@ -40,10 +36,8 @@ OpCost CostModel::spmv_cost(const DistCsr& a) const {
   for (rank_t p = 0; p < a.nranks(); ++p) {
     const RankBlock& blk = a.block(p);
     const auto report = replay_spmv_x_accesses(blk.matrix, cache);
-    const double slots =
-        static_cast<double>(a.local_op(p).padded_entries(blk.matrix));
     const double compute =
-        (slots * per_slot +
+        (static_cast<double>(blk.matrix.nnz()) * per_entry +
          static_cast<double>(report.misses) * machine_.miss_cost()) /
         t;
     // Rank p's halo edges, each priced at its fabric level. Neighbor lists

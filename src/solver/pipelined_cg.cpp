@@ -206,13 +206,7 @@ SolveResult pcg_solve_pipelined(const DistCsr& a, const DistVector& b,
     // previous iteration turns out to be the converged one, x must keep its
     // value as of that iteration. The fused sweep runs the same three
     // element-wise updates in one pass and one superstep — bit-identical.
-    if (options.fused_sweeps) {
-      dist_fused_cg_sweep(u, w, beta, -alpha, p_dir, s, r, exec);
-    } else {
-      dist_xpby(u, beta, p_dir, exec);
-      dist_xpby(w, beta, s, exec);
-      dist_axpy(-alpha, s, r, exec);
-    }
+    dist_fused_cg_sweep(u, w, beta, -alpha, p_dir, s, r, exec);
 
     {
       ScopedPhase phase(trace, "precond_apply", "solve");

@@ -95,20 +95,12 @@ class FactorizedPreconditioner final : public Preconditioner {
   [[nodiscard]] const DistCsr& g() const { return g_; }
   [[nodiscard]] const DistCsr& gt() const { return gt_; }
 
-  /// Swap the kernel backend of both factors (format and, unlike the system
-  /// matrix, optionally Single precision — the mixed-precision mode stores
-  /// the factors in float32 while every CG vector stays double).
-  void use_kernel(const KernelConfig& kernel) {
-    g_.use_kernel(kernel);
-    gt_.use_kernel(kernel);
-  }
-  /// Combined padding overhead of both factors under the active format.
-  [[nodiscard]] double padding_ratio() const {
-    const offset_t n = g_.nnz() + gt_.nnz();
-    return n > 0 ? static_cast<double>(g_.padded_entries() +
-                                       gt_.padded_entries()) /
-                       static_cast<double>(n)
-                 : 1.0;
+  /// Set the storage precision of both factors (unlike the system matrix,
+  /// optionally Single — the mixed-precision mode stores the factors in
+  /// float32 while every CG vector stays double).
+  void use_kernel(FactorPrecision precision) {
+    g_.use_kernel(precision);
+    gt_.use_kernel(precision);
   }
 
  private:

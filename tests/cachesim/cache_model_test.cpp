@@ -4,7 +4,6 @@
 
 #include "matgen/generators.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/sell.hpp"
 
 namespace fsaic {
 namespace {
@@ -113,51 +112,14 @@ TEST_P(CacheLineSweep, MissesPerNnzDecreaseMonotonicallyWithLineSize) {
 
 INSTANTIATE_TEST_SUITE_P(Lines, CacheLineSweep, ::testing::Values(32, 64, 128, 256));
 
-TEST(SellReplayTest, AccessCountIncludesPadding) {
-  const auto a = random_laplacian(100, 5, 0.1, 91);
-  const SellMatrix sell(a, 8, 64);
-  const auto report = replay_sell_spmv_x_accesses(
-      sell, {.line_bytes = 64, .size_bytes = 8 * 1024, .associativity = 8});
-  EXPECT_EQ(report.accesses, sell.padded_size());
-  EXPECT_GT(sell.padded_size(), a.nnz());  // padding genuinely present
-}
-
-TEST(SellReplayTest, PinnedMissCountOnSmallMatrix) {
-  // Deterministic pin: replay geometry and the SELL chunk walk are both
-  // fixed, so the miss count is a stable regression canary for the access
-  // stream. If this changes, the kernel's memory-order contract changed.
-  const auto a = poisson2d(16, 16);  // 256 rows, 5-point stencil
-  const SellMatrix sell(a, 8, 64);
-  const auto report = replay_sell_spmv_x_accesses(
-      sell, {.line_bytes = 64, .size_bytes = 1024, .associativity = 8});
-  EXPECT_EQ(report.accesses, sell.padded_size());
-  // Tridiagonal-ish locality within the sigma window: far fewer misses than
-  // accesses, and bit-for-bit reproducible.
-  const auto again = replay_sell_spmv_x_accesses(
-      sell, {.line_bytes = 64, .size_bytes = 1024, .associativity = 8});
-  EXPECT_EQ(report.misses, again.misses);
-  EXPECT_LT(report.misses, report.accesses / 2);
-  EXPECT_GT(report.misses, 0);
-}
-
-TEST(SellReplayTest, WholeVectorInCacheMissesOncePerLine) {
-  // x fits entirely: every line is missed exactly once regardless of the
-  // sigma permutation, giving an exact expected count.
+TEST(CacheReplayTest, WholeVectorInCacheMissesOncePerLine) {
+  // x fits entirely: every line is missed exactly once, and every stored
+  // entry is one access.
   const auto a = poisson2d(12, 12);  // 144 doubles of x = 1152 B = 18 lines
-  const SellMatrix sell(a, 4, 16);
-  const auto report = replay_sell_spmv_x_accesses(
-      sell, {.line_bytes = 64, .size_bytes = 64 * 1024, .associativity = 8});
+  const auto report = replay_spmv_x_accesses(
+      a, {.line_bytes = 64, .size_bytes = 64 * 1024, .associativity = 8});
   EXPECT_EQ(report.misses, 18);
-}
-
-TEST(SellReplayTest, ChainedReplayKeepsState) {
-  const auto a = poisson2d(16, 16);
-  const SellMatrix sell(a, 8, 64);
-  CacheModel model({.line_bytes = 64, .size_bytes = 64 * 1024, .associativity = 8});
-  const auto first = replay_sell_spmv_x_accesses(sell, model);
-  const auto second = replay_sell_spmv_x_accesses(sell, model);
-  EXPECT_GT(first.misses, 0);
-  EXPECT_EQ(second.misses, 0);
+  EXPECT_EQ(report.accesses, a.nnz());
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "common/rng.hpp"
 #include "dist/comm_scheme.hpp"
 #include "gram_reference.hpp"
 #include "matgen/generators.hpp"
 #include "solver/pcg.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/vector_ops.hpp"
 
@@ -192,6 +195,49 @@ TEST(DriverTest, PartitionSystemProducesContiguousBalancedLayout) {
   DistVector x(sys.layout);
   const auto r = cg_solve(a_dist, b, x, {.rel_tol = 1e-8, .max_iterations = 2000});
   EXPECT_TRUE(r.converged);
+}
+
+/// partition_system(a) must throw an Error whose message names `row`.
+void expect_rejects_row(const CsrMatrix& a, index_t row, const char* what) {
+  try {
+    (void)partition_system(a, 2);
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("row " + std::to_string(row) + " (0-based)"),
+              std::string::npos)
+        << what << ": " << msg;
+  }
+}
+
+/// Symmetric tridiagonal 3x3 with diagonal (4, d, 4).
+CsrMatrix tridiag3(value_t d) {
+  CooBuilder b(3, 3);
+  b.add(0, 0, 4.0);
+  b.add(1, 1, d);
+  b.add(2, 2, 4.0);
+  for (index_t i = 0; i < 2; ++i) {
+    b.add(i, i + 1, -1.0);
+    b.add(i + 1, i, -1.0);
+  }
+  return b.to_csr();
+}
+
+TEST(DriverTest, PartitionSystemRejectsNonPositiveDiagonal) {
+  expect_rejects_row(tridiag3(-1.0), 1, "negative diagonal");
+  expect_rejects_row(tridiag3(0.0), 1, "zero diagonal");
+  expect_rejects_row(tridiag3(std::numeric_limits<value_t>::infinity()), 1,
+                     "infinite diagonal");
+  EXPECT_NO_THROW((void)partition_system(tridiag3(4.0), 2));
+}
+
+TEST(DriverTest, PartitionSystemRejectsMissingDiagonal) {
+  // 2x2 whose (2,2) entry (row 1, 0-based) is not stored at all.
+  CooBuilder b(2, 2);
+  b.add(0, 0, 4.0);
+  b.add(0, 1, -1.0);
+  b.add(1, 0, -1.0);
+  expect_rejects_row(b.to_csr(), 1, "missing diagonal");
 }
 
 TEST(DriverTest, PartitionReducesHaloVersusNaiveBlocking) {

@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "matgen/generators.hpp"
 #include "obs/report.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/mm_io.hpp"
 
 namespace fsaic {
@@ -327,6 +328,41 @@ TEST_F(ServiceTest, ErrorResponsesForBadInputs) {
   EXPECT_NE(col.by_id.at("badrhs").reason.find("does not match matrix rows"),
             std::string::npos)
       << "got: " << col.by_id.at("badrhs").reason;
+}
+
+TEST_F(ServiceTest, NegativeDiagonalIsRejectedAndServiceKeepsServing) {
+  // Symmetric 3x3 with diagonal (4, -1, 4): not SPD, so the request is
+  // answered with an error naming the row, and the next request is served.
+  CooBuilder b(3, 3);
+  b.add(0, 0, 4.0);
+  b.add(1, 1, -1.0);
+  b.add(2, 2, 4.0);
+  for (index_t i = 0; i < 2; ++i) {
+    b.add(i, i + 1, -1.0);
+    b.add(i + 1, i, -1.0);
+  }
+  const std::string bad_path = (dir_ / "negdiag.mtx").string();
+  write_matrix_market_file(bad_path, b.to_csr());
+  Collector col;
+  {
+    SolveService service({.workers = 1}, col.handler());
+    SolveRequest bad = request("negdiag");
+    bad.matrix_path = bad_path;
+    bad.ranks = 2;
+    service.submit(bad);
+    service.drain();
+    service.submit(request("next"));
+    service.drain();
+    EXPECT_EQ(service.stats().errors, 1);
+    EXPECT_EQ(service.stats().completed, 1);
+  }
+  const SolveResponse& rejected = col.by_id.at("negdiag");
+  EXPECT_EQ(rejected.status, "error");
+  EXPECT_NE(rejected.reason.find("row 1 (0-based)"), std::string::npos)
+      << "got: " << rejected.reason;
+  const SolveResponse& next = col.by_id.at("next");
+  EXPECT_EQ(next.status, "ok");
+  EXPECT_TRUE(next.converged);
 }
 
 TEST_F(ServiceTest, FileRhsSolvesAndMatchesSeededRhs) {

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <numeric>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,124 +33,80 @@ Split split_rows(index_t rows, index_t boundary_count) {
   return s;
 }
 
-TEST(KernelConfigTest, StringRoundTrips) {
-  EXPECT_EQ(to_string(OperatorFormat::Csr), "csr");
-  EXPECT_EQ(to_string(OperatorFormat::Sell), "sell");
-  EXPECT_EQ(operator_format_from_string("csr"), OperatorFormat::Csr);
-  EXPECT_EQ(operator_format_from_string("sell"), OperatorFormat::Sell);
+TEST(FactorPrecisionTest, StringRoundTrips) {
   EXPECT_EQ(to_string(FactorPrecision::Double), "double");
   EXPECT_EQ(to_string(FactorPrecision::Single), "single");
   EXPECT_EQ(factor_precision_from_string("double"), FactorPrecision::Double);
   EXPECT_EQ(factor_precision_from_string("single"), FactorPrecision::Single);
   EXPECT_EQ(factor_precision_from_string("mixed"), FactorPrecision::Single);
-  EXPECT_THROW((void)operator_format_from_string("ellpack"), Error);
   EXPECT_THROW((void)factor_precision_from_string("half"), Error);
 }
 
-TEST(KernelConfigTest, FromEnvReadsFormatOnly) {
-  // setenv/unsetenv: this test must not run concurrently with others that
-  // read FSAIC_FORMAT — gtest runs tests in one thread, so it cannot.
-  ::setenv("FSAIC_FORMAT", "sell", 1);
-  const auto sell_cfg = KernelConfig::from_env();
-  EXPECT_EQ(sell_cfg.format, OperatorFormat::Sell);
-  EXPECT_EQ(sell_cfg.precision, FactorPrecision::Double);
-  ::setenv("FSAIC_FORMAT", "auto", 1);
-  const auto auto_cfg = KernelConfig::from_env();
-  EXPECT_TRUE(auto_cfg.autotune);
-  EXPECT_FALSE(sell_cfg.autotune);
-  ::unsetenv("FSAIC_FORMAT");
-  const auto default_cfg = KernelConfig::from_env();
-  EXPECT_FALSE(default_cfg.autotune);
-  EXPECT_EQ(default_cfg.format, OperatorFormat::Csr);
-  EXPECT_EQ(default_cfg.precision, FactorPrecision::Double);
-  ::setenv("FSAIC_FORMAT", "blocked-ell", 1);
-  EXPECT_THROW((void)KernelConfig::from_env(), Error);
-  ::unsetenv("FSAIC_FORMAT");
-}
-
-class LocalOperatorFormats : public ::testing::TestWithParam<OperatorFormat> {};
-
-TEST_P(LocalOperatorFormats, SpmvAllMatchesReferenceBitwise) {
+TEST(LocalOperatorTest, SpmvAllMatchesReferenceBitwise) {
   const auto a = random_laplacian(150, 6, 0.1, 51);
-  const auto split = split_rows(a.rows(), 30);
-  const KernelConfig cfg{.format = GetParam()};
-  const LocalOperator op(a, split.interior, split.boundary, cfg);
+  const LocalOperator op(a, FactorPrecision::Double);
+  EXPECT_EQ(op.precision(), FactorPrecision::Double);
   const auto x = random_vec(a.cols(), 52);
   std::vector<value_t> y_ref(static_cast<std::size_t>(a.rows()));
   std::vector<value_t> y_op(static_cast<std::size_t>(a.rows()));
   spmv(a, x, y_ref);
-  op.spmv_all(a, split.interior, split.boundary, x, y_op);
+  op.spmv_all(a, x, y_op);
   for (std::size_t i = 0; i < y_ref.size(); ++i) {
     ASSERT_EQ(y_op[i], y_ref[i]) << "row " << i;
   }
 }
 
-TEST_P(LocalOperatorFormats, InteriorAndBoundaryPartitionTheRows) {
+TEST(LocalOperatorTest, InteriorAndBoundaryPartitionTheRows) {
   const auto a = poisson2d(9, 9);
   const auto split = split_rows(a.rows(), 13);
-  const KernelConfig cfg{.format = GetParam()};
-  const LocalOperator op(a, split.interior, split.boundary, cfg);
+  const LocalOperator op(a, FactorPrecision::Double);
   const auto x = random_vec(a.cols(), 53);
   std::vector<value_t> y_ref(static_cast<std::size_t>(a.rows()));
   spmv(a, x, y_ref);
 
   std::vector<value_t> y(static_cast<std::size_t>(a.rows()), -1.0);
-  op.spmv_interior(a, split.interior, x, y);
+  op.spmv_rows(a, split.interior, x, y);
   for (const index_t r : split.boundary) {
     ASSERT_EQ(y[static_cast<std::size_t>(r)], -1.0)
         << "boundary row " << r << " touched by interior apply";
   }
-  op.spmv_boundary(a, split.boundary, x, y);
+  op.spmv_rows(a, split.boundary, x, y);
   for (std::size_t i = 0; i < y_ref.size(); ++i) {
     ASSERT_EQ(y[i], y_ref[i]) << "row " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, LocalOperatorFormats,
-                         ::testing::Values(OperatorFormat::Csr,
-                                           OperatorFormat::Sell));
-
-TEST(LocalOperatorTest, DefaultConstructedIsCsrDoubleReference) {
-  const LocalOperator op;
-  EXPECT_EQ(op.config().format, OperatorFormat::Csr);
-  EXPECT_EQ(op.config().precision, FactorPrecision::Double);
-}
-
-TEST(LocalOperatorTest, PaddedEntriesMatchFormat) {
-  const auto a = random_laplacian(100, 5, 0.1, 61);
-  const auto split = split_rows(a.rows(), 20);
-  const LocalOperator csr(a, split.interior, split.boundary,
-                          KernelConfig{.format = OperatorFormat::Csr});
-  const LocalOperator sell(a, split.interior, split.boundary,
-                           KernelConfig{.format = OperatorFormat::Sell});
-  EXPECT_EQ(csr.padded_entries(a), a.nnz());
-  EXPECT_DOUBLE_EQ(csr.padding_ratio(a), 1.0);
-  EXPECT_GE(sell.padded_entries(a), a.nnz());
-  EXPECT_GE(sell.padding_ratio(a), 1.0);
-}
-
-class LocalOperatorSingle : public ::testing::TestWithParam<OperatorFormat> {};
-
-TEST_P(LocalOperatorSingle, SinglePrecisionStorageStaysClose) {
+TEST(LocalOperatorTest, SinglePrecisionStorageStaysClose) {
   const auto a = random_spd(90, 4, 71);
-  const auto split = split_rows(a.rows(), 15);
-  const KernelConfig cfg{.format = GetParam(),
-                         .precision = FactorPrecision::Single};
-  const LocalOperator op(a, split.interior, split.boundary, cfg);
+  const LocalOperator op(a, FactorPrecision::Single);
+  EXPECT_EQ(op.precision(), FactorPrecision::Single);
   const auto x = random_vec(a.cols(), 72);
   std::vector<value_t> y_ref(static_cast<std::size_t>(a.rows()));
   std::vector<value_t> y_op(static_cast<std::size_t>(a.rows()));
   spmv(a, x, y_ref);
-  op.spmv_all(a, split.interior, split.boundary, x, y_op);
+  op.spmv_all(a, x, y_op);
   for (std::size_t i = 0; i < y_ref.size(); ++i) {
     ASSERT_NEAR(y_op[i], y_ref[i], 1e-5 * (1.0 + std::abs(y_ref[i])))
         << "row " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, LocalOperatorSingle,
-                         ::testing::Values(OperatorFormat::Csr,
-                                           OperatorFormat::Sell));
+TEST(LocalOperatorTest, SinglePrecisionRowSubsetsMatchFullApplyBitwise) {
+  // The overlap SpMV applies interior then boundary rows; the flat path
+  // applies all rows at once. Both must give the same float32-storage sums.
+  const auto a = random_spd(90, 4, 73);
+  const auto split = split_rows(a.rows(), 15);
+  const LocalOperator op(a, FactorPrecision::Single);
+  const auto x = random_vec(a.cols(), 74);
+  std::vector<value_t> y_all(static_cast<std::size_t>(a.rows()));
+  std::vector<value_t> y_rows(static_cast<std::size_t>(a.rows()));
+  op.spmv_all(a, x, y_all);
+  op.spmv_rows(a, split.interior, x, y_rows);
+  op.spmv_rows(a, split.boundary, x, y_rows);
+  for (std::size_t i = 0; i < y_all.size(); ++i) {
+    ASSERT_EQ(y_rows[i], y_all[i]) << "row " << i;
+  }
+}
 
 }  // namespace
 }  // namespace fsaic

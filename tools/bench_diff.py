@@ -8,9 +8,6 @@ Usage:
                   bench/baselines/BENCH_serve.json next to this script)
     bench_diff.py --mode comm CANDIDATE.jsonl [BASELINE.jsonl]
                   [--max-comm-bytes-rise PCT]
-    bench_diff.py --mode kernels CANDIDATE.json [BASELINE.json]
-                  [--min-sell-speedup X] [--min-fast-fraction F]
-                  [--max-padding-ratio R] [--max-gflops-drop PCT]
     bench_diff.py --mode weakscale CANDIDATE.json
                   [--min-rows N] [--max-balance B]
 
@@ -153,79 +150,6 @@ def comm_mode(args):
     return 1 if failures else 0
 
 
-def load_kernels(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema") != "fsaic.bench.kernels/v1":
-        sys.exit(f"{path}: not a fsaic.bench.kernels/v1 artifact "
-                 f"(schema={doc.get('schema')!r})")
-    return doc
-
-
-def kernels_mode(args):
-    cand = load_kernels(args.baseline)
-    base = load_kernels(args.candidate) if args.candidate else None
-
-    failures = []
-    matrices = cand["matrices"]
-    if not matrices:
-        sys.exit("candidate has no per-matrix records")
-    fast = 0
-    for m in matrices:
-        tag = ""
-        if not m["bitwise_equal"]:
-            failures.append(f"{m['name']}: SELL SpMV is not bit-identical "
-                            "to the CSR reference")
-            tag = "  BITWISE DIFF"
-        if m["sell_speedup"] >= args.min_sell_speedup:
-            fast += 1
-        if m["padding_ratio"] > args.max_padding_ratio:
-            failures.append(
-                f"{m['name']}: padding ratio {m['padding_ratio']:.3f} exceeds "
-                f"{args.max_padding_ratio:.3f}")
-        print(f"{m['name']}: csr {m['csr_gflops']:.2f} -> sell "
-              f"{m['sell_gflops']:.2f} GFLOP/s (x{m['sell_speedup']:.2f}), "
-              f"padding {m['padding_ratio']:.3f}{tag}")
-    need = args.min_fast_fraction * len(matrices)
-    print(f"sell >= x{args.min_sell_speedup:.2f} on {fast}/{len(matrices)} "
-          f"matrices (need {need:.1f})")
-    if fast < need:
-        failures.append(
-            f"SELL reached x{args.min_sell_speedup:.2f} on only "
-            f"{fast}/{len(matrices)} matrices "
-            f"(need {args.min_fast_fraction:.0%})")
-
-    sweeps = cand["sweeps"]
-    print(f"fused CG sweep: x{sweeps['fused_speedup']:.2f} vs separate "
-          f"(bitwise_equal={sweeps['bitwise_equal']})")
-    if not sweeps["bitwise_equal"]:
-        failures.append("fused CG sweep is not bit-identical to the "
-                        "separate sweeps")
-    if cand["summary"]["correctness_diffs"] != 0:
-        failures.append(
-            f"summary reports {cand['summary']['correctness_diffs']} "
-            "correctness diffs")
-
-    if base is not None:
-        base_by_name = {m["name"]: m for m in base["matrices"]}
-        for m in matrices:
-            b = base_by_name.get(m["name"])
-            if b is None:
-                continue
-            d = pct_change(b["sell_gflops"], m["sell_gflops"])
-            if d < -args.max_gflops_drop:
-                failures.append(
-                    f"{m['name']}: SELL GFLOP/s dropped {-d:.1f}% "
-                    f"({b['sell_gflops']:.2f} -> {m['sell_gflops']:.2f}, > "
-                    f"{args.max_gflops_drop:.1f}% allowed)")
-
-    for f in failures:
-        print(f"FAIL: {f}")
-    if not failures:
-        print(f"OK: kernel contract holds on {len(matrices)} matrices")
-    return 1 if failures else 0
-
-
 def load_weakscale(path):
     with open(path) as f:
         doc = json.load(f)
@@ -321,14 +245,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline")
     ap.add_argument("candidate", nargs="?")
-    ap.add_argument("--mode", choices=("serve", "comm", "kernels", "weakscale"),
+    ap.add_argument("--mode", choices=("serve", "comm", "weakscale"),
                     default="serve",
                     help="serve: compare two BENCH_serve.json artifacts; "
                          "comm: enforce the comm contract on a "
                          "comm_invariance JSONL report (first positional is "
-                         "the candidate, optional second a baseline); "
-                         "kernels: enforce the kernel-backend contract on a "
-                         "BENCH_kernels.json artifact (first positional is "
                          "the candidate, optional second a baseline); "
                          "weakscale: enforce the workload-generation "
                          "contract on a BENCH_weakscale.json artifact")
@@ -340,18 +261,6 @@ def main():
     ap.add_argument("--max-comm-bytes-rise", type=float, default=0.0,
                     help="comm mode: fail when a matrix's FSAIE-Comm halo "
                          "bytes rise more than PCT vs baseline (default 0)")
-    ap.add_argument("--min-sell-speedup", type=float, default=1.2,
-                    help="kernels mode: SELL-vs-CSR speedup a matrix must "
-                         "reach to count as fast (default 1.2)")
-    ap.add_argument("--min-fast-fraction", type=float, default=0.5,
-                    help="kernels mode: fraction of matrices that must be "
-                         "fast (default 0.5)")
-    ap.add_argument("--max-padding-ratio", type=float, default=1.25,
-                    help="kernels mode: fail when a matrix's SELL padding "
-                         "ratio exceeds this (default 1.25)")
-    ap.add_argument("--max-gflops-drop", type=float, default=30.0,
-                    help="kernels mode: fail when a matrix's SELL GFLOP/s "
-                         "drop more than PCT vs baseline (default 30)")
     ap.add_argument("--min-rows", type=int, default=1000000,
                     help="weakscale mode: minimum rows of the fixed-series "
                          "operator (default 1000000)")
@@ -362,8 +271,6 @@ def main():
 
     if args.mode == "comm":
         return comm_mode(args)
-    if args.mode == "kernels":
-        return kernels_mode(args)
     if args.mode == "weakscale":
         return weakscale_mode(args)
     if args.candidate is None:

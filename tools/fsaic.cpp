@@ -32,19 +32,10 @@
 //                             the cheapest of {1,2,4,8} per the machine's
 //                             cost model is picked automatically
 //         --tol T             relative tolerance         (default 1e-8)
-//         --format F          csr|sell|auto rank-local kernel backend
-//                             (default csr; FSAIC_FORMAT sets the default).
-//                             sell is the SELL-C-sigma SIMD layout — residual
-//                             histories stay bit-identical in double. auto
-//                             picks the least-padded SELL chunk per matrix,
-//                             falling back to csr past 1.25x padding
 //         --precision P       double|single factor storage (default double).
 //                             single stores G and G^T in float32 (double
 //                             accumulation, CG vectors stay double); the
 //                             system matrix always stays double
-//         --separate-sweeps   run the historic separate AXPY/XPBY sweeps
-//                             instead of the fused single-pass kernels
-//                             (bit-identical; for A/B benchmarking)
 //         --pipelined         Chronopoulos-Gear CG (1 allreduce/iter)
 //         --gmres             restarted GMRES(50) instead of CG
 //         --rcm               apply RCM reordering before partitioning
@@ -182,8 +173,7 @@ Args parse_args(int argc, char** argv, int first) {
       // Flags with values: everything except the boolean switches.
       const bool boolean = a == "--static" || a == "--pipelined" ||
                            a == "--rcm" || a == "--gmres" ||
-                           a == "--no-batch" || a == "--once" ||
-                           a == "--separate-sweeps";
+                           a == "--no-batch" || a == "--once";
       std::string value;
       if (!boolean && i + 1 < argc) {
         value = argv[++i];
@@ -297,24 +287,10 @@ int cmd_solve(const Args& args) {
               << "\n";
   }
 
-  // Kernel backend: environment first (FSAIC_FORMAT), explicit flags win.
   // Mixed precision is factor-only — the system matrix A always stays at
   // double, so the CG recurrence itself is untouched.
-  KernelConfig kernel = KernelConfig::from_env();
-  if (args.has("format")) {
-    const std::string fmt = args.get("format", "csr");
-    if (fmt == "auto") {
-      kernel.autotune = true;
-    } else {
-      kernel.autotune = false;
-      kernel.format = operator_format_from_string(fmt);
-    }
-  }
-  KernelConfig factor_kernel = kernel;
-  if (args.has("precision")) {
-    factor_kernel.precision =
-        factor_precision_from_string(args.get("precision", "double"));
-  }
+  const FactorPrecision factor_precision =
+      factor_precision_from_string(args.get("precision", "double"));
 
   PartitionedSystem sys;
   wgen::WgenStats gen_stats;
@@ -335,7 +311,6 @@ int cmd_solve(const Args& args) {
     sys = partition_system(a, nranks);
     return DistCsr::distribute(sys.matrix, sys.layout, comm);
   }();
-  a_dist.use_kernel(kernel);
   if (gen_mode) {
     std::cout << operator_name << ": " << gen_stats.rows << " rows, "
               << gen_stats.nnz << " nnz over " << nranks
@@ -502,40 +477,19 @@ int cmd_solve(const Args& args) {
   }
 
   precond->set_trace(trace);
-  // Swap the factors onto the requested kernel backend (the system matrix
-  // was switched right after distribute; only the factorized family carries
-  // its own DistCsr operators).
-  double factor_padding = 1.0;
+  // Only the factorized family carries its own DistCsr operators, so only
+  // it can store them single.
   if (auto* fp = dynamic_cast<FactorizedPreconditioner*>(precond.get())) {
-    fp->use_kernel(factor_kernel);
-    factor_padding = fp->padding_ratio();
+    fp->use_kernel(factor_precision);
   }
-  // Report the *resolved* kernel: under --format auto the distribute-time
-  // autotuner may have picked a different chunk (or fallen back to csr).
-  const KernelConfig& a_kernel = a_dist.kernel_config();
-  if (kernel.autotune) {
-    std::cout << "kernel autotune: picked " << to_string(a_kernel.format);
-    if (a_kernel.format == OperatorFormat::Sell) {
-      std::cout << " C=" << a_kernel.sell_chunk;
-    }
-    std::cout << " (padding ratio " << strformat("%.3f", a_dist.padding_ratio())
-              << ")\n";
-  }
-  if (a_kernel.format == OperatorFormat::Sell) {
-    std::cout << "kernel backend sell (C=" << a_kernel.sell_chunk
-              << ", sigma=" << a_kernel.sell_sigma << "): padding ratio A "
-              << strformat("%.3f", a_dist.padding_ratio()) << ", factors "
-              << strformat("%.3f", factor_padding) << "\n";
-  }
-  if (factor_kernel.precision == FactorPrecision::Single) {
+  if (factor_precision == FactorPrecision::Single) {
     std::cout << "mixed precision: factors stored float32, CG vectors and A "
                  "stay double\n";
   }
-  const bool fused = !args.has("separate-sweeps");
   DistVector x(sys.layout);
   const SolveOptions solve_opts{.rel_tol = tol, .max_iterations = 100000,
                                 .sink = sinkp, .trace = trace,
-                                .exec = exec.get(), .fused_sweeps = fused};
+                                .exec = exec.get()};
   const SolveResult r =
       args.has("gmres")
           ? gmres_solve(a_dist, b, x, *precond,
@@ -601,11 +555,7 @@ int cmd_solve(const Args& args) {
     rec["ranks_per_node"] = comm.ranks_per_node;
     rec["comm_intra_bytes"] = r.comm.halo_intra_bytes;
     rec["comm_inter_bytes"] = r.comm.halo_inter_bytes;
-    rec["format"] = to_string(a_kernel.format);
-    rec["precision"] = to_string(factor_kernel.precision);
-    rec["padding_ratio"] = a_dist.padding_ratio();
-    rec["factor_padding_ratio"] = factor_padding;
-    rec["fused_sweeps"] = fused;
+    rec["precision"] = to_string(factor_precision);
     rec["exec_threads"] = exec->nthreads();
     rec["exec_supersteps"] = static_cast<std::int64_t>(exec->stats().supersteps);
     rec["converged"] = r.converged;
