@@ -140,9 +140,10 @@ class Executor {
   /// rank space: items are scheduled in chunks for load balance and the
   /// assignment of items to slots is NOT deterministic — bodies must write
   /// only item-private outputs and slot-private scratch. The sequential
-  /// executor runs the loop through OpenMP when compiled in (the historic
-  /// setup behaviour); the threaded executor runs it on the SPMD team, which
-  /// is what the OpenMP-free TSAN build races.
+  /// executor runs a plain loop on slot 0; the threaded executor runs it on
+  /// the SPMD team, which is the only parallel layer setup has. An exception
+  /// thrown by a body propagates to the caller of parallel_for (the threaded
+  /// executor rethrows the first one after the team drains).
   virtual void parallel_for(index_t n,
                             const std::function<void(index_t, int)>& f) = 0;
 
@@ -170,7 +171,7 @@ class SeqExecutor final : public Executor {
                                  int width) override;
   void parallel_for(index_t n,
                     const std::function<void(index_t, int)>& f) override;
-  [[nodiscard]] int parallel_for_width() const override;
+  [[nodiscard]] int parallel_for_width() const override { return 1; }
   [[nodiscard]] ExecStats stats() const override;
 
  private:

@@ -98,8 +98,9 @@ void ThreadedExecutor::parallel_for(index_t n,
     return;
   }
   const auto nt = static_cast<index_t>(engine_.nthreads());
-  // Chunks sized for ~4 claims per worker, capped at 64 items (mirroring the
-  // dynamic,64 OpenMP schedule the setup row loops historically used).
+  // Chunks sized for ~4 claims per worker, capped at 64 items, so loops over
+  // a few coarse items (the FSAI row blocks) still spread over the whole team
+  // while long fine-grained loops keep claims cheap.
   const index_t chunk =
       std::clamp<index_t>((n + 4 * nt - 1) / (4 * nt), 1, 64);
   std::atomic<index_t> cursor{0};

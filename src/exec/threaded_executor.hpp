@@ -40,8 +40,8 @@ class ThreadedExecutor final : public Executor {
   AsyncAllreduce allreduce_begin(std::vector<value_t> partials,
                                  int width) override;
   /// Work items are claimed by the team in contiguous chunks off a shared
-  /// atomic cursor (the thread-team analogue of OpenMP's dynamic schedule),
-  /// so irregular per-row costs load-balance; `slot` is the worker id.
+  /// atomic cursor (a dynamic schedule), so irregular per-row costs
+  /// load-balance; `slot` is the worker id.
   void parallel_for(index_t n,
                     const std::function<void(index_t, int)>& f) override;
   [[nodiscard]] int parallel_for_width() const override;

@@ -543,11 +543,10 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     reused = tier == CacheTier::Ram && op->precond != nullptr &&
              factor == op->factor;
     if (!reused && factor != nullptr) {
-      const DistCsr g_dist = DistCsr::distribute(factor->g, factor->layout);
-      const DistCsr gt_dist =
-          DistCsr::distribute(transpose(factor->g), factor->layout);
       op->precond = std::make_unique<FactorizedPreconditioner>(
-          g_dist, gt_dist, lead.method + "(cached)");
+          DistCsr::distribute(factor->g, factor->layout),
+          DistCsr::distribute(transpose(factor->g), factor->layout),
+          lead.method + "(cached)");
       op->factor = std::move(factor);
     } else if (!reused) {
       FsaiOptions opts;
@@ -570,7 +569,7 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
       const double build_seconds =
           us_between(t_setup, std::chrono::steady_clock::now()) * 1e-6;
       op->precond = std::make_unique<FactorizedPreconditioner>(
-          build.g_dist, build.gt_dist, lead.method);
+          std::move(build.g_dist), std::move(build.gt_dist), lead.method);
       op->factor = std::make_shared<CachedFactor>(CachedFactor{
           std::move(build.g), op->sys.layout, build_seconds});
       cache_.put(op->key, op->factor);

@@ -67,8 +67,8 @@ inline void fused_axpy_pair(value_t alpha, std::span<const value_t> d,
   }
 }
 
-/// Euclidean inner product, summed in index order. Deliberately serial: an
-/// OpenMP reduction would make the summation order (and so the bits) depend
+/// Euclidean inner product, summed in index order. Deliberately serial: a
+/// parallel reduction would make the summation order (and so the bits) depend
 /// on the team size, and every residual history is built from these dots.
 [[nodiscard]] inline value_t dot(std::span<const value_t> x,
                                  std::span<const value_t> y) {

@@ -11,6 +11,7 @@
 #include "matgen/generators.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/fingerprint.hpp"
 #include "sparse/ops.hpp"
 
 namespace fsaic {
@@ -110,6 +111,18 @@ TEST(AdaptiveTest, ZeroStepsGivesDiagonalPattern) {
   const auto p = adaptive_fsai_pattern(a, {.growth_steps = 0, .entries_per_step = 2});
   EXPECT_EQ(p.nnz(), a.rows());
   EXPECT_TRUE(p.has_full_diagonal());
+}
+
+TEST(AdaptiveTest, PatternIsPinnedOnEveryExecutor) {
+  // Rows grow on the default executor, so under FSAIC_THREADS the team's
+  // dynamic schedule must still produce exactly this structure.
+  const auto a = graded2d(16, 16, 1e4);
+  const auto p = adaptive_fsai_pattern(a, {.growth_steps = 3, .entries_per_step = 2});
+  Fnv1a64Stream h;
+  h.update(p.row_ptr().data(), p.row_ptr().size_bytes());
+  h.update(p.col_idx().data(), p.col_idx().size_bytes());
+  EXPECT_EQ(p.nnz(), 1720);
+  EXPECT_EQ(hash_hex(h.digest()), "67c99045e9f3632e");
 }
 
 TEST(AdaptiveTest, MoreGrowthImprovesFrobeniusQuality) {

@@ -183,6 +183,25 @@ TEST(ParallelForTest, SlotPrivateAccumulatorsCoverTheWholeSum) {
   EXPECT_EQ(total, static_cast<std::int64_t>(kItems) * (kItems - 1) / 2);
 }
 
+TEST(ParallelForTest, ExceptionsInItemBodiesPropagateToTheCaller) {
+  // A throwing row body (a bad_alloc in a scratch resize, a rejected row)
+  // must reach the caller on either executor, never terminate the process.
+  SeqExecutor seq;
+  ThreadedExecutor thr(4);
+  for (Executor* exec : {static_cast<Executor*>(&seq),
+                         static_cast<Executor*>(&thr)}) {
+    EXPECT_THROW(exec->parallel_for(1000,
+                                    [](index_t i, int) {
+                                      FSAIC_REQUIRE(i != 517, "item 517 failed");
+                                    }),
+                 Error);
+    // The executor stays usable after a throwing loop.
+    std::atomic<int> count{0};
+    exec->parallel_for(100, [&](index_t, int) { ++count; });
+    EXPECT_EQ(count.load(), 100);
+  }
+}
+
 TEST(ParallelForTest, NestedInsideRankBodyDegradesToInlineLoop) {
   ThreadedExecutor exec(2);
   std::vector<std::atomic<int>> visits(16);

@@ -15,9 +15,11 @@
 //         --overlap K         Schwarz overlap level      (default 1)
 //         --ranks P           simulated ranks            (default 8)
 //         --threads T         threads/rank for the cost model (default 8);
-//                             when given explicitly, also runs the solve on
-//                             T real threads (bit-identical residuals). The
-//                             FSAIC_THREADS env var sets the default.
+//                             when given explicitly, also runs the setup row
+//                             loops and the solve on T real threads
+//                             (bit-identical factors and residuals). The
+//                             FSAIC_THREADS env var sets the default; with
+//                             neither, setup and solve run on one core.
 //         --filter F          filter value               (default 0.01)
 //         --static            static instead of dynamic filtering
 //         --machine M         skylake|a64fx|zen2         (default skylake)
@@ -69,7 +71,8 @@
 //                             a persist pushes past B, the least-recently-
 //                             accessed factor files are evicted (0 =
 //                             unlimited, the default)
-//         --solver-threads T  executor threads per worker (default 1)
+//         --solver-threads T  executor threads per worker, for the factor
+//                             setup and the solve (default 1)
 //         --no-batch          disable multi-RHS coalescing
 //         --metrics PATH      JSON metrics dump (queue/cache/latency)
 //         --prom PATH         Prometheus text-format metrics exposition
@@ -96,6 +99,7 @@
 //       peak, halo volume, content fingerprint). --out additionally writes
 //       the assembled operator to a MatrixMarket file (this one path does
 //       materialize the global matrix; see docs/workload-generation.md).
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -104,7 +108,9 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -165,20 +171,37 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv, int first) {
+/// One flag a subcommand accepts: its name without the leading "--" and
+/// whether it consumes the next argument as its value.
+struct Flag {
+  std::string_view name;
+  bool takes_value;
+};
+
+/// Parse argv[first..] against the subcommand's flag table. A flag not in
+/// the table, or a value flag with nothing after it, is an error naming the
+/// flag and the subcommand, so a typo never silently falls back to a default.
+Args parse_args(int argc, char** argv, int first, std::string_view command,
+                std::span<const Flag> flags) {
   Args args;
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
-      // Flags with values: everything except the boolean switches.
-      const bool boolean = a == "--static" || a == "--pipelined" ||
-                           a == "--rcm" || a == "--gmres" ||
-                           a == "--no-batch" || a == "--once";
+      const std::string name = a.substr(2);
+      const auto flag = std::find_if(flags.begin(), flags.end(),
+                                     [&](const Flag& f) { return f.name == name; });
+      if (flag == flags.end()) {
+        throw Error("unknown flag " + a + " for fsaic " + std::string(command));
+      }
       std::string value;
-      if (!boolean && i + 1 < argc) {
+      if (flag->takes_value) {
+        if (i + 1 >= argc) {
+          throw Error("flag " + a + " of fsaic " + std::string(command) +
+                      " needs a value");
+        }
         value = argv[++i];
       }
-      args.options.emplace_back(a.substr(2), value);
+      args.options.emplace_back(name, value);
     } else {
       args.positional.push_back(a);
     }
@@ -240,9 +263,9 @@ int cmd_solve(const Args& args) {
   const auto nranks = static_cast<rank_t>(std::stoi(args.get("ranks", "8")));
   const int threads = std::stoi(args.get("threads", "8"));
   // `--threads` has always parameterized the *cost model* (default 8); it
-  // switches the actual execution engine only when passed explicitly, so a
-  // bare `fsaic solve m.mtx` stays sequential. FSAIC_THREADS sets the
-  // process default either way.
+  // switches the actual execution engine (setup and solve) only when passed
+  // explicitly, so a bare `fsaic solve m.mtx` runs on one core.
+  // FSAIC_THREADS sets the process default either way.
   ExecPolicy exec_policy = ExecPolicy::from_env();
   if (args.has("threads")) exec_policy.nthreads = threads;
   const auto exec = make_executor(exec_policy);
@@ -433,12 +456,12 @@ int cmd_solve(const Args& args) {
       FSAIC_REQUIRE(saved.layout == sys.layout,
                     "saved factor was built for a different layout");
       require_factor_matches(saved, ensure_global());
-      const DistCsr g_dist = DistCsr::distribute(saved.g, saved.layout, comm);
-      const DistCsr gt_dist =
+      DistCsr g_dist = DistCsr::distribute(saved.g, saved.layout, comm);
+      DistCsr gt_dist =
           DistCsr::distribute(transpose(saved.g), saved.layout, comm);
       apply_cost = cost.spmv_cost(g_dist).total() + cost.spmv_cost(gt_dist).total();
-      precond = std::make_unique<FactorizedPreconditioner>(g_dist, gt_dist,
-                                                           method + "(loaded)");
+      precond = std::make_unique<FactorizedPreconditioner>(
+          std::move(g_dist), std::move(gt_dist), method + "(loaded)");
     } else {
       FsaiBuildResult build =
           build_fsai_preconditioner(ensure_global(), sys.layout, opts);
@@ -472,7 +495,7 @@ int cmd_solve(const Args& args) {
       apply_cost = cost.spmv_cost(build.g_dist).total() +
                    cost.spmv_cost(build.gt_dist).total();
       precond = std::make_unique<FactorizedPreconditioner>(
-          build.g_dist, build.gt_dist, method);
+          std::move(build.g_dist), std::move(build.gt_dist), method);
     }
   }
 
@@ -858,21 +881,57 @@ int cmd_gen(const Args& args) {
   return 0;
 }
 
+// The option table: every flag each subcommand accepts (see the header of
+// this file for what they mean).
+constexpr Flag kAnalyzeFlags[] = {{"ranks", true}};
+constexpr Flag kSolveFlags[] = {
+    {"gen", true},            {"method", true},
+    {"overlap", true},        {"ranks", true},
+    {"threads", true},        {"filter", true},
+    {"static", false},        {"machine", true},
+    {"comm", true},           {"ranks-per-node", true},
+    {"tol", true},            {"precision", true},
+    {"pipelined", false},     {"gmres", false},
+    {"rcm", false},           {"rhs", true},
+    {"save-factor", true},    {"load-factor", true},
+    {"trace", true},          {"report", true}};
+constexpr Flag kBenchFlags[] = {
+    {"machine", true}, {"threads", true}, {"filter", true}, {"report", true}};
+constexpr Flag kServeFlags[] = {
+    {"requests", true},        {"report", true},
+    {"workers", true},         {"queue-capacity", true},
+    {"cache-capacity", true},  {"store", true},
+    {"store-max-bytes", true}, {"solver-threads", true},
+    {"no-batch", false},       {"metrics", true},
+    {"prom", true},            {"metrics-interval", true},
+    {"log", true},             {"log-level", true},
+    {"trace", true},           {"watch", true},
+    {"poll-ms", true},         {"once", false}};
+constexpr Flag kGenFlags[] = {
+    {"ranks", true}, {"out", true}, {"comm", true}, {"ranks-per-node", true}};
+
+struct Command {
+  std::string_view name;
+  std::span<const Flag> flags;
+  int (*run)(const Args&);
+};
+
+const Command kCommands[] = {
+    {"analyze", kAnalyzeFlags, cmd_analyze}, {"solve", kSolveFlags, cmd_solve},
+    {"bench", kBenchFlags, cmd_bench},       {"serve", kServeFlags, cmd_serve},
+    {"suite", {}, cmd_suite},                {"generate", {}, cmd_generate},
+    {"gen", kGenFlags, cmd_gen}};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+  const std::string_view name = argv[1];
+  const auto cmd = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                [&](const Command& c) { return c.name == name; });
+  if (cmd == std::end(kCommands)) return usage();
   try {
-    const Args args = parse_args(argc, argv, 2);
-    if (cmd == "analyze") return cmd_analyze(args);
-    if (cmd == "solve") return cmd_solve(args);
-    if (cmd == "bench") return cmd_bench(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "suite") return cmd_suite(args);
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "gen") return cmd_gen(args);
-    return usage();
+    return cmd->run(parse_args(argc, argv, 2, cmd->name, cmd->flags));
   } catch (const std::exception& e) {
     std::cerr << "fsaic: " << e.what() << "\n";
     return 1;
